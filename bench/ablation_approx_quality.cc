@@ -62,7 +62,7 @@ void QualityCase(benchmark::State& state, const FlatView& view,
 void RegisterAll() {
   struct Workload {
     const char* dataset;
-    const UncertainDatabase& (*db)(std::size_t);
+    UncertainDatabase (*db)(std::size_t);
     std::size_t n;
     double min_sup;
     double pft;

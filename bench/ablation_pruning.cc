@@ -51,7 +51,7 @@ void RegisteredCase(benchmark::State& state, const FlatView& view,
 void RegisterAll() {
   struct DecrementalSweep {
     const char* dataset;
-    const UncertainDatabase& (*db)(std::size_t);
+    UncertainDatabase (*db)(std::size_t);
     std::size_t n;
     double min_esup;
   };

@@ -6,7 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_datasets.h"
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 
@@ -22,21 +22,16 @@ void SamplingCase(benchmark::State& state, std::size_t samples) {
   params.min_sup = kMinSup;
   params.pft = kPft;
   // Exact reference for the accuracy counters (computed outside timing).
-  static const MiningResult& exact = [] {
-    ProbabilisticParams p;
-    p.min_sup = kMinSup;
-    p.pft = kPft;
-    auto r = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDCB)
-                 ->Mine(AccidentDb(2000), p);
+  static const MiningResult& exact = [&] {
+    auto r = MinerRegistry::Global().Create("DCB")->Mine(db, params);
     return *new MiningResult(std::move(r).value());
   }();
 
   MinerOptions options;
   options.mc_samples = samples;
-  auto miner = CreateProbabilisticMiner(ProbabilisticAlgorithm::kMCSampling,
-                                        options);
+  auto miner = MinerRegistry::Global().Create("MCSampling", options);
   for (auto _ : state) {
-    auto m = RunProbabilisticExperiment(*miner, db, params);
+    auto m = RunExperiment(*miner, db, params);
     if (!m.ok()) {
       state.SkipWithError(m.status().ToString().c_str());
       return;
@@ -48,14 +43,14 @@ void SamplingCase(benchmark::State& state, std::size_t samples) {
   }
 }
 
-void MomentBaselineCase(benchmark::State& state, ProbabilisticAlgorithm algo) {
+void MomentBaselineCase(benchmark::State& state, const char* algo) {
   const UncertainDatabase& db = AccidentDb(2000);
   ProbabilisticParams params;
   params.min_sup = kMinSup;
   params.pft = kPft;
-  auto miner = CreateProbabilisticMiner(algo);
+  auto miner = MinerRegistry::Global().Create(algo);
   for (auto _ : state) {
-    auto m = RunProbabilisticExperiment(*miner, db, params);
+    auto m = RunExperiment(*miner, db, params);
     if (!m.ok()) {
       state.SkipWithError(m.status().ToString().c_str());
       return;
@@ -75,10 +70,8 @@ void RegisterAll() {
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
   }
-  for (ProbabilisticAlgorithm algo : {ProbabilisticAlgorithm::kNDUApriori,
-                                      ProbabilisticAlgorithm::kPDUApriori}) {
-    std::string name =
-        std::string("ablation_sampling/baseline/") + std::string(ToString(algo));
+  for (const char* algo : {"NDUApriori", "PDUApriori"}) {
+    std::string name = std::string("ablation_sampling/baseline/") + algo;
     benchmark::RegisterBenchmark(name.c_str(),
                                  [algo](benchmark::State& state) {
                                    MomentBaselineCase(state, algo);

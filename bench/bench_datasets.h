@@ -9,24 +9,24 @@ namespace ufim::bench {
 
 /// Scaled instances of the paper's five benchmark datasets (Table 6) with
 /// the Table 7 probability parameters. Transaction counts are reduced to
-/// single-core laptop scale; EXPERIMENTS.md records the scaling. Each
-/// function memoizes its default-size instance so that bench binaries pay
-/// generation cost once.
+/// single-core laptop scale; bench_datasets.cc records the scaling against
+/// the paper's sizes. Generation is deterministic and not memoized: a
+/// bench that mines one instance repeatedly keeps it (paper_figures
+/// caches every sweep's instance).
 
 /// Connect: dense, Gaussian(0.95, 0.05).
-const UncertainDatabase& ConnectDb(std::size_t n = 2000);
+UncertainDatabase ConnectDb(std::size_t n = 2000);
 
 /// Accident: dense-ish, Gaussian(0.5, 0.5).
-const UncertainDatabase& AccidentDb(std::size_t n = 3000);
+UncertainDatabase AccidentDb(std::size_t n = 3000);
 
 /// Kosarak: sparse, Gaussian(0.5, 0.5).
-const UncertainDatabase& KosarakDb(std::size_t n = 10000);
+UncertainDatabase KosarakDb(std::size_t n = 10000);
 
 /// Gazelle: very sparse, Gaussian(0.95, 0.05).
-const UncertainDatabase& GazelleDb(std::size_t n = 5000);
+UncertainDatabase GazelleDb(std::size_t n = 5000);
 
 /// T25I15D{n}: the Quest scalability family, Gaussian(0.9, 0.1).
-/// Not memoized (callers sweep n); build once per size and reuse.
 UncertainDatabase QuestDb(std::size_t n);
 
 /// Dense dataset with Zipf-assigned probabilities at the given skew
@@ -39,8 +39,8 @@ UncertainDatabase ZipfDenseDb(double skew, std::size_t n = 1500);
 /// parallelism one task mines nearly everything while the rest idle,
 /// the straggler shape the recursive split budget (PR 7) decomposes.
 /// Probabilities cycle a small value set deterministically.
-const UncertainDatabase& DominantChainDb(std::size_t n = 6000,
-                                         std::size_t chain_len = 24);
+UncertainDatabase DominantChainDb(std::size_t n = 6000,
+                                  std::size_t chain_len = 24);
 
 }  // namespace ufim::bench
 

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "algo/top_k.h"
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "core/postprocess.h"
 #include "core/result_io.h"
 #include "gen/benchmark_datasets.h"
@@ -41,7 +41,7 @@ int main() {
   // data sit far below the single-product supports: mine deep.
   ExpectedSupportParams params;
   params.min_esup = 0.003;
-  auto miner = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine);
+  auto miner = MinerRegistry::Global().Create("UH-Mine");
   auto all = miner->Mine(db, params);
   if (!all.ok()) return 1;
   MiningResult closed = FilterClosed(*all);

@@ -8,7 +8,7 @@
 //   $ ./market_basket
 #include <cstdio>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "eval/experiment.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
@@ -32,11 +32,11 @@ int main() {
   std::printf("\n%-12s %10s %12s %12s\n", "algorithm", "time (ms)",
               "candidates", "#frequent");
   MiningResult reference;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto miner = CreateExpectedSupportMiner(algo);
-    auto m = RunExpectedExperiment(*miner, db, params);
+  for (const char* algo : {"UApriori", "UFP-growth", "UH-Mine"}) {
+    auto miner = MinerRegistry::Global().Create(algo);
+    auto m = RunExperiment(*miner, db, params);
     if (!m.ok()) {
-      std::fprintf(stderr, "%s failed: %s\n", ToString(algo).data(),
+      std::fprintf(stderr, "%s failed: %s\n", algo,
                    m.status().ToString().c_str());
       return 1;
     }

@@ -169,8 +169,8 @@ Result<MiningResult> TopKMiner::Mine(const FlatView& view,
                                    std::string(TaskKindName(task)) + " tasks");
   }
   UFIM_RETURN_IF_ERROR(params->Validate());
-  // Overrides the variant dispatcher directly, so it needs its own abort
-  // guard (the typed entry points' guards never run for this miner).
+  // Overrides Miner::Mine directly, so it needs its own abort guard (the
+  // family adapters' dispatch guards never run for this miner).
   return internal::GuardMine(
       [&] { return MineTopKExpected(view, params->k, &run_context()); });
 }

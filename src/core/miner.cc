@@ -82,7 +82,7 @@ Status UnsupportedTask(const Miner& miner, const MiningTask& task) {
 Result<MiningResult> ExpectedSupportMiner::Mine(const FlatView& view,
                                                 const MiningTask& task) const {
   if (const auto* params = std::get_if<ExpectedSupportParams>(&task)) {
-    return Mine(view, *params);  // guarded typed entry point
+    return internal::GuardMine([&] { return MineExpected(view, *params); });
   }
   return UnsupportedTask(*this, task);
 }
@@ -90,7 +90,8 @@ Result<MiningResult> ExpectedSupportMiner::Mine(const FlatView& view,
 Result<MiningResult> ProbabilisticMiner::Mine(const FlatView& view,
                                               const MiningTask& task) const {
   if (const auto* params = std::get_if<ProbabilisticParams>(&task)) {
-    return Mine(view, *params);  // guarded typed entry point
+    return internal::GuardMine(
+        [&] { return MineProbabilistic(view, *params); });
   }
   return UnsupportedTask(*this, task);
 }

@@ -145,8 +145,8 @@ class Miner {
   virtual Result<MiningResult> Mine(const FlatView& view,
                                     const MiningTask& task) const = 0;
 
-  /// Convenience: builds the FlatView internally. Prefer the view
-  /// overload when mining the same database repeatedly.
+  /// The one convenience overload: builds the FlatView internally.
+  /// Prefer the view overload when mining the same database repeatedly.
   Result<MiningResult> Mine(const UncertainDatabase& db,
                             const MiningTask& task) const;
 
@@ -207,8 +207,7 @@ Result<MiningResult> GuardMine(Fn&& fn) {
 
 /// Adapter base of the expected-support-based miners (UApriori,
 /// UFP-growth, UH-Mine, brute force). Subclasses implement
-/// `MineExpected`; the `MiningTask` dispatch and the typed convenience
-/// overloads live here.
+/// `MineExpected`; the guarded `MiningTask` dispatch lives here.
 class ExpectedSupportMiner : public Miner {
  public:
   bool Supports(const MiningTask& task) const final {
@@ -219,18 +218,6 @@ class ExpectedSupportMiner : public Miner {
   Result<MiningResult> Mine(const FlatView& view,
                             const MiningTask& task) const final;
   using Miner::Mine;
-
-  /// Typed entry points (tests and legacy call sites). Guarded like the
-  /// variant dispatch: a checkpoint abort surfaces as a Status here too.
-  Result<MiningResult> Mine(const FlatView& view,
-                            const ExpectedSupportParams& params) const {
-    return internal::GuardMine([&] { return MineExpected(view, params); });
-  }
-  Result<MiningResult> Mine(const UncertainDatabase& db,
-                            const ExpectedSupportParams& params) const {
-    return internal::GuardMine(
-        [&] { return MineExpected(FlatView(db), params); });
-  }
 
   /// Finds all itemsets with esup(X) >= N * params.min_esup. Every
   /// returned itemset carries (expected_support, variance); variance is
@@ -255,17 +242,6 @@ class ProbabilisticMiner : public Miner {
   Result<MiningResult> Mine(const FlatView& view,
                             const MiningTask& task) const final;
   using Miner::Mine;
-
-  Result<MiningResult> Mine(const FlatView& view,
-                            const ProbabilisticParams& params) const {
-    return internal::GuardMine(
-        [&] { return MineProbabilistic(view, params); });
-  }
-  Result<MiningResult> Mine(const UncertainDatabase& db,
-                            const ProbabilisticParams& params) const {
-    return internal::GuardMine(
-        [&] { return MineProbabilistic(FlatView(db), params); });
-  }
 
   /// Finds all itemsets with Pr(sup(X) >= N*min_sup) > pft.
   virtual Result<MiningResult> MineProbabilistic(

@@ -90,7 +90,8 @@ Status UncertainDatabase::Validate() const {
     const Transaction& t = transactions_[ti];
     for (std::size_t i = 0; i < t.size(); ++i) {
       const ProbItem& u = t[i];
-      if (u.prob <= 0.0 || u.prob > 1.0) {
+      // Negated in-range test so that NaN (every comparison false) fails.
+      if (!(u.prob > 0.0 && u.prob <= 1.0)) {
         return Status::InvalidArgument(
             "transaction " + std::to_string(ti) + ": probability out of (0,1]");
       }

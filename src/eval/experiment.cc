@@ -65,15 +65,4 @@ Result<ExperimentMeasurement> RunRegisteredExperiment(
   return RunExperiment(*miner, view, task);
 }
 
-Result<ExperimentMeasurement> RunExpectedExperiment(
-    const ExpectedSupportMiner& miner, const UncertainDatabase& db,
-    const ExpectedSupportParams& params) {
-  return RunExperiment(miner, db, MiningTask(params));
-}
-
-Result<ExperimentMeasurement> RunProbabilisticExperiment(
-    const ProbabilisticMiner& miner, const UncertainDatabase& db,
-    const ProbabilisticParams& params) {
-  return RunExperiment(miner, db, MiningTask(params));
-}
 }  // namespace ufim

@@ -44,15 +44,6 @@ Result<ExperimentMeasurement> RunRegisteredExperiment(
     std::string_view algorithm, const FlatView& view, const MiningTask& task,
     const MinerOptions& options = {}, std::size_t num_shards = 1);
 
-/// Typed conveniences retained for the per-definition sweeps.
-Result<ExperimentMeasurement> RunExpectedExperiment(
-    const ExpectedSupportMiner& miner, const UncertainDatabase& db,
-    const ExpectedSupportParams& params);
-
-Result<ExperimentMeasurement> RunProbabilisticExperiment(
-    const ProbabilisticMiner& miner, const UncertainDatabase& db,
-    const ProbabilisticParams& params);
-
 }  // namespace ufim
 
 #endif  // UFIM_EVAL_EXPERIMENT_H_

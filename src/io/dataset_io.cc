@@ -1,5 +1,6 @@
 #include "io/dataset_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -40,11 +41,23 @@ Result<Transaction> ParseTransactionLine(const std::string& line) {
     if (errno != 0 || end != token.c_str() + token.size()) {
       return Status::InvalidArgument("malformed probability in '" + token + "'");
     }
-    if (prob < 0.0 || prob > 1.0) {
+    // Negated in-range test so that NaN (every comparison false) fails.
+    if (!(prob >= 0.0 && prob <= 1.0)) {
       return Status::InvalidArgument("probability out of [0,1] in '" + token +
                                      "'");
     }
     units.push_back(ProbItem{static_cast<ItemId>(item), prob});
+  }
+  // A repeated item has no single probability, so the line is rejected
+  // rather than collapsed by the Transaction constructor's keep-last rule.
+  std::vector<ItemId> ids;
+  ids.reserve(units.size());
+  for (const ProbItem& u : units) ids.push_back(u.item);
+  std::sort(ids.begin(), ids.end());
+  const auto repeated = std::adjacent_find(ids.begin(), ids.end());
+  if (repeated != ids.end()) {
+    return Status::InvalidArgument("item " + std::to_string(*repeated) +
+                                   " appears more than once");
   }
   return Transaction(std::move(units));
 }

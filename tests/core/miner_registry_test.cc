@@ -3,33 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
+#include <vector>
 
-#include "core/miner_factory.h"
 #include "gen/benchmark_datasets.h"
+#include "testing/paper_arms.h"
 
 namespace ufim {
 namespace {
 
-std::vector<std::string_view> EveryFactoryName() {
-  std::vector<std::string_view> names;
-  for (ExpectedAlgorithm algo :
-       {ExpectedAlgorithm::kUApriori, ExpectedAlgorithm::kUFPGrowth,
-        ExpectedAlgorithm::kUHMine, ExpectedAlgorithm::kBruteForce}) {
-    names.push_back(ToString(algo));
-  }
-  for (ProbabilisticAlgorithm algo :
-       {ProbabilisticAlgorithm::kDPNB, ProbabilisticAlgorithm::kDPB,
-        ProbabilisticAlgorithm::kDCNB, ProbabilisticAlgorithm::kDCB,
-        ProbabilisticAlgorithm::kPDUApriori, ProbabilisticAlgorithm::kNDUApriori,
-        ProbabilisticAlgorithm::kNDUHMine, ProbabilisticAlgorithm::kMCSampling,
-        ProbabilisticAlgorithm::kBruteForce}) {
-    names.push_back(ToString(algo));
-  }
-  return names;
-}
+// Literal on purpose: a registration dropped from an algorithm's
+// translation unit must fail here, not silently shrink a derived list.
+constexpr std::string_view kEveryFactoryName[] = {
+    "UApriori",   "UFP-growth", "UH-Mine",   "BruteForceExpected",
+    "DPNB",       "DPB",        "DCNB",      "DCB",
+    "PDUApriori", "NDUApriori", "NDUH-Mine", "MCSampling",
+    "BruteForceProbabilistic"};
 
 TEST(MinerRegistryTest, RoundTripsEveryFactoryName) {
-  for (std::string_view name : EveryFactoryName()) {
+  for (std::string_view name : kEveryFactoryName) {
     const MinerEntry* entry = MinerRegistry::Global().Find(name);
     ASSERT_NE(entry, nullptr) << name;
     EXPECT_EQ(entry->name, name);
@@ -79,6 +72,90 @@ TEST(MinerRegistryTest, ProductionNamesExcludeBruteForce) {
             1u);
 }
 
+// The FactoryTest cases predate the registry; they keep their names and
+// now check the same taxonomy through MinerRegistry.
+template <std::size_t N>
+std::vector<std::string> Sorted(const std::string_view (&names)[N]) {
+  std::vector<std::string> sorted(std::begin(names), std::end(names));
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+void ExpectCreates(std::string_view name, TaskFamily family) {
+  const MinerEntry* entry = MinerRegistry::Global().Find(name);
+  ASSERT_NE(entry, nullptr) << name;
+  EXPECT_EQ(entry->family, family) << name;
+  std::unique_ptr<Miner> miner = MinerRegistry::Global().Create(name);
+  ASSERT_NE(miner, nullptr) << name;
+  EXPECT_EQ(miner->name(), name);
+}
+
+TEST(FactoryTest, CreatesEveryExpectedMiner) {
+  for (std::string_view name : testing_util::kExpectedArms) {
+    ExpectCreates(name, TaskFamily::kExpectedSupport);
+  }
+  ExpectCreates("BruteForceExpected", TaskFamily::kExpectedSupport);
+}
+
+TEST(FactoryTest, CreatesEveryProbabilisticMiner) {
+  for (std::string_view name : testing_util::kExactArms) {
+    ExpectCreates(name, TaskFamily::kProbabilistic);
+  }
+  for (std::string_view name : testing_util::kApproxArms) {
+    ExpectCreates(name, TaskFamily::kProbabilistic);
+  }
+  ExpectCreates("MCSampling", TaskFamily::kProbabilistic);
+  ExpectCreates("BruteForceProbabilistic", TaskFamily::kProbabilistic);
+}
+
+TEST(FactoryTest, ExactnessFlagsMatchTaxonomy) {
+  // The production probabilistic miners split by is_exact() into the 4
+  // exact arms (DP/DC) and the 3 approximate arms plus MCSampling (the
+  // paper's reference [11], not an arm).
+  const MinerRegistry& registry = MinerRegistry::Global();
+  std::vector<std::string> exact;
+  std::vector<std::string> approx;
+  for (const std::string& name : registry.NamesOf(
+           TaskFamily::kProbabilistic, /*production_only=*/true)) {
+    (registry.Create(name)->is_exact() ? exact : approx).push_back(name);
+  }
+  std::erase(approx, "MCSampling");
+  EXPECT_EQ(exact, Sorted(testing_util::kExactArms));
+  EXPECT_EQ(approx, Sorted(testing_util::kApproxArms));
+}
+
+TEST(FactoryTest, EnumerationHelpersExcludeBruteForce) {
+  // The production expected-support family is exactly the 3
+  // expected-support arms: the brute-force oracle is registered but
+  // never enumerated as an arm.
+  const std::vector<std::string> expected =
+      MinerRegistry::Global().NamesOf(TaskFamily::kExpectedSupport,
+                                      /*production_only=*/true);
+  EXPECT_EQ(expected, Sorted(testing_util::kExpectedArms));
+  EXPECT_EQ(std::count(expected.begin(), expected.end(), "BruteForceExpected"),
+            0);
+  EXPECT_EQ(std::size(testing_util::kExpectedArms), 3u);
+  EXPECT_EQ(std::size(testing_util::kExactArms), 4u);
+  EXPECT_EQ(std::size(testing_util::kApproxArms), 3u);
+}
+
+TEST(MinerRegistryTest, OptionsReachUApriori) {
+  // Both configurations must produce identical results (pruning is an
+  // optimization); this smoke-tests the options plumbing.
+  UncertainDatabase db = MakePaperTable1();
+  ExpectedSupportParams params;
+  params.min_esup = 0.3;
+  MinerOptions on;
+  on.decremental_pruning = true;
+  MinerOptions off;
+  off.decremental_pruning = false;
+  auto a = MinerRegistry::Global().Create("UApriori", on)->Mine(db, params);
+  auto b = MinerRegistry::Global().Create("UApriori", off)->Mine(db, params);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->ItemsetsOnly(), b->ItemsetsOnly());
+}
+
 TEST(MinerRegistryTest, TopKIsAFirstClassMiner) {
   const MinerEntry* entry = MinerRegistry::Global().Find("TopK");
   ASSERT_NE(entry, nullptr);
@@ -126,7 +203,7 @@ TEST(MinerRegistryTest, UnifiedFacadeDispatchesOnTask) {
 TEST(MinerRegistryTest, EveryMinerRunsThroughUnifiedFacadeOverFlatView) {
   UncertainDatabase db = MakePaperTable1();
   FlatView view(db);
-  for (std::string_view name : EveryFactoryName()) {
+  for (std::string_view name : kEveryFactoryName) {
     const MinerEntry* entry = MinerRegistry::Global().Find(name);
     ASSERT_NE(entry, nullptr) << name;
     MiningTask task;

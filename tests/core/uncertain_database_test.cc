@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gen/benchmark_datasets.h"
 
 namespace ufim {
@@ -106,6 +108,17 @@ TEST(UncertainDatabaseTest, PrefixTakesFirstN) {
 
 TEST(UncertainDatabaseTest, ValidateAcceptsWellFormed) {
   EXPECT_TRUE(MakePaperTable1().Validate().ok());
+}
+
+TEST(UncertainDatabaseTest, ValidateRejectsNaNProbability) {
+  // The Transaction constructor's p <= 0 / p > 1 filters both let NaN
+  // through, so Validate is the check that has to catch it.
+  UncertainDatabase db;
+  db.Add(Transaction({{0, 0.5}, {1, std::numeric_limits<double>::quiet_NaN()}}));
+  ASSERT_EQ(db[0].size(), 2u);
+  Status status = db.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

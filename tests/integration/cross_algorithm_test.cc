@@ -4,9 +4,10 @@
 // Swept over randomized databases and thresholds.
 #include <gtest/gtest.h>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
+#include "testing/paper_arms.h"
 #include "testing/random_db.h"
 
 namespace ufim {
@@ -32,10 +33,10 @@ TEST_P(CrossAlgorithmTest, ExpectedSupportMinersAgree) {
   params.min_esup = c.threshold;
 
   std::vector<MiningResult> results;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto miner = CreateExpectedSupportMiner(algo);
+  for (std::string_view algo : testing_util::kExpectedArms) {
+    auto miner = MinerRegistry::Global().Create(algo);
     auto r = miner->Mine(db, params);
-    ASSERT_TRUE(r.ok()) << ToString(algo);
+    ASSERT_TRUE(r.ok()) << algo;
     results.push_back(std::move(r).value());
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -60,10 +61,10 @@ TEST_P(CrossAlgorithmTest, ExactProbabilisticMinersAgree) {
   params.pft = c.pft;
 
   std::vector<MiningResult> results;
-  for (ProbabilisticAlgorithm algo : AllExactProbabilisticAlgorithms()) {
-    auto miner = CreateProbabilisticMiner(algo);
+  for (std::string_view algo : testing_util::kExactArms) {
+    auto miner = MinerRegistry::Global().Create(algo);
     auto r = miner->Mine(db, params);
-    ASSERT_TRUE(r.ok()) << ToString(algo);
+    ASSERT_TRUE(r.ok()) << algo;
     results.push_back(std::move(r).value());
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -95,9 +96,9 @@ TEST(CrossAlgorithmRealisticTest, ExpectedMinersAgreeOnAccidentLike) {
       MakeAccidentLike(300, 1), 0.5, 0.5, 2);
   ExpectedSupportParams params;
   params.min_esup = 0.2;
-  auto ua = CreateExpectedSupportMiner(ExpectedAlgorithm::kUApriori)->Mine(db, params);
-  auto uh = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine)->Mine(db, params);
-  auto ufp = CreateExpectedSupportMiner(ExpectedAlgorithm::kUFPGrowth)->Mine(db, params);
+  auto ua = MinerRegistry::Global().Create("UApriori")->Mine(db, params);
+  auto uh = MinerRegistry::Global().Create("UH-Mine")->Mine(db, params);
+  auto ufp = MinerRegistry::Global().Create("UFP-growth")->Mine(db, params);
   ASSERT_TRUE(ua.ok());
   ASSERT_TRUE(uh.ok());
   ASSERT_TRUE(ufp.ok());

@@ -6,12 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "eval/metrics.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
 #include "prob/normal.h"
 #include "prob/poisson_binomial.h"
+#include "testing/paper_arms.h"
 
 namespace ufim {
 namespace {
@@ -28,7 +29,7 @@ TEST(DefinitionBridgeTest, MomentsFromMinersMatchDistributionMachinery) {
   ExpectedSupportParams params;
   params.min_esup = 0.25;
   auto result =
-      CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine)->Mine(db, params);
+      MinerRegistry::Global().Create("UH-Mine")->Mine(db, params);
   ASSERT_TRUE(result.ok());
   for (const FrequentItemset& fi : result->itemsets()) {
     auto probs = db.ContainmentProbabilities(fi.itemset);
@@ -47,13 +48,13 @@ TEST(DefinitionBridgeTest, NormalTestOverExpectedResultsEqualsNDUApriori) {
   pparams.pft = 0.9;
   const std::size_t msc = pparams.MinSupportCount(db.size());
 
-  auto ndu = CreateProbabilisticMiner(ProbabilisticAlgorithm::kNDUApriori)
+  auto ndu = MinerRegistry::Global().Create("NDUApriori")
                  ->Mine(db, pparams);
   ASSERT_TRUE(ndu.ok());
 
   ExpectedSupportParams eparams;
   eparams.min_esup = 0.005;  // low enough to cover all candidates
-  auto expected = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine)
+  auto expected = MinerRegistry::Global().Create("UH-Mine")
                       ->Mine(db, eparams);
   ASSERT_TRUE(expected.ok());
 
@@ -76,7 +77,7 @@ TEST(DefinitionBridgeTest, FrequentProbabilitiesSaturateOnLargeData) {
   ProbabilisticParams params;
   params.min_sup = 0.015;
   params.pft = 0.9;
-  auto result = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDCB)
+  auto result = MinerRegistry::Global().Create("DCB")
                     ->Mine(db, params);
   ASSERT_TRUE(result.ok());
   ASSERT_GT(result->size(), 0u);
@@ -96,12 +97,12 @@ TEST(DefinitionBridgeTest, VarianceNeverExceedsMean) {
   UncertainDatabase db = LargeSparse(5);
   ExpectedSupportParams params;
   params.min_esup = 0.01;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(db, params);
+  for (std::string_view algo : testing_util::kExpectedArms) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(db, params);
     ASSERT_TRUE(result.ok());
     for (const FrequentItemset& fi : result->itemsets()) {
-      EXPECT_LE(fi.variance, fi.expected_support + 1e-9) << ToString(algo);
-      EXPECT_GE(fi.variance, -1e-9) << ToString(algo);
+      EXPECT_LE(fi.variance, fi.expected_support + 1e-9) << algo;
+      EXPECT_GE(fi.variance, -1e-9) << algo;
     }
   }
 }

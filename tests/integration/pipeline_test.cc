@@ -5,13 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "core/postprocess.h"
 #include "core/result_io.h"
 #include "eval/metrics.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
 #include "io/dataset_io.h"
+#include "testing/paper_arms.h"
 
 namespace ufim {
 namespace {
@@ -34,7 +35,7 @@ TEST_F(PipelineTest, DatasetRoundTripPreservesMiningResults) {
 
   ExpectedSupportParams params;
   params.min_esup = 0.005;
-  auto miner = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine);
+  auto miner = MinerRegistry::Global().Create("UH-Mine");
   auto before = miner->Mine(original, params);
   auto after = miner->Mine(*reloaded, params);
   ASSERT_TRUE(before.ok());
@@ -53,7 +54,7 @@ TEST_F(PipelineTest, ResultRoundTripThenPostprocess) {
   ProbabilisticParams params;
   params.min_sup = 0.004;
   params.pft = 0.9;
-  auto mined = CreateProbabilisticMiner(ProbabilisticAlgorithm::kNDUHMine)
+  auto mined = MinerRegistry::Global().Create("NDUH-Mine")
                    ->Mine(db, params);
   ASSERT_TRUE(mined.ok());
   ASSERT_GT(mined->size(), 0u);
@@ -82,9 +83,9 @@ TEST_F(PipelineTest, DiffTwoAlgorithmsThroughSerializedResults) {
   params.pft = 0.9;
   const std::string path_a = TempPath("dcb.txt");
   const std::string path_b = TempPath("nduh.txt");
-  auto a = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDCB)->Mine(db, params);
+  auto a = MinerRegistry::Global().Create("DCB")->Mine(db, params);
   auto b =
-      CreateProbabilisticMiner(ProbabilisticAlgorithm::kNDUHMine)->Mine(db, params);
+      MinerRegistry::Global().Create("NDUH-Mine")->Mine(db, params);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(WriteResult(*a, path_a).ok());
@@ -110,9 +111,9 @@ TEST_F(PipelineTest, ZipfPipelineEndToEnd) {
   ASSERT_TRUE(reloaded.ok());
   ExpectedSupportParams params;
   params.min_esup = 0.1;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(*reloaded, params);
-    ASSERT_TRUE(result.ok()) << ToString(algo);
+  for (std::string_view algo : testing_util::kExpectedArms) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(*reloaded, params);
+    ASSERT_TRUE(result.ok()) << algo;
   }
   std::remove(path.c_str());
 }

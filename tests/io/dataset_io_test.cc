@@ -33,6 +33,17 @@ TEST_F(DatasetIoTest, ParseRejectsMalformedUnits) {
   EXPECT_FALSE(ParseTransactionLine("x:0.5").ok());
   EXPECT_FALSE(ParseTransactionLine("1:1.5").ok());
   EXPECT_FALSE(ParseTransactionLine("1:-0.2").ok());
+  EXPECT_FALSE(ParseTransactionLine("1:nan").ok());
+  EXPECT_FALSE(ParseTransactionLine("1:-nan").ok());
+  EXPECT_FALSE(ParseTransactionLine("1:0.5 1:0.9").ok());
+}
+
+TEST_F(DatasetIoTest, ParseNamesTheRepeatedItem) {
+  Result<Transaction> parsed = ParseTransactionLine("3:0.2 1:0.5 1:0.9");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("item 1"), std::string::npos)
+      << parsed.status().message();
 }
 
 TEST_F(DatasetIoTest, ParseAcceptsEmptyLineAsEmptyTransaction) {
