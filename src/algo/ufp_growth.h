@@ -14,7 +14,10 @@ namespace ufim {
 /// paper consistently measures UFP-growth as the slowest and most
 /// memory-hungry of the three expected-support miners, and this
 /// implementation reproduces that regime faithfully (exact mining over
-/// the weighted tree, no candidate-verification rescan needed).
+/// the weighted tree, no candidate-verification rescan needed): the node
+/// count is exactly the paper's. The constant per node is kept small —
+/// a 32 B node plus at most 16 B of the tree's flat child index, with
+/// every tree sized up front from its input's unit count (see UFPTree).
 ///
 /// Mining is task-parallel over the top-level header ranks of the global
 /// tree (each rank's conditional projection chain is an independent

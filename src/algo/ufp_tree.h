@@ -1,8 +1,8 @@
 #ifndef UFIM_ALGO_UFP_TREE_H_
 #define UFIM_ALGO_UFP_TREE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace ufim {
@@ -14,7 +14,11 @@ namespace ufim {
 /// equal (paper, Fig. 1 discussion). With continuous probability
 /// assignments almost nothing is shared, which is precisely why the
 /// paper finds UFP-growth slow and memory-hungry — this implementation
-/// deliberately preserves that structural behaviour.
+/// preserves that limited-sharing behaviour exactly (the node count is
+/// the paper's) but adds no per-node container: children are found
+/// through one open-addressing index shared by the whole tree, keyed by
+/// (parent, rank, probability bits) read back from the node itself, so a
+/// node costs its 32 B `Node` plus at most 16 B of index.
 ///
 /// Nodes carry aggregated path weights rather than raw counts so that
 /// conditional trees stay *exact* (no upper-bound candidates + rescan):
@@ -33,11 +37,11 @@ namespace ufim {
 class UFPTree {
  public:
   struct Node {
-    std::uint32_t rank = 0;  ///< item rank in descending-esup order
-    double prob = 0.0;       ///< appearance probability at this node
+    std::uint32_t rank = 0;    ///< item rank in descending-esup order
+    std::uint32_t parent = 0;  ///< node index; 0 is the root sentinel
+    double prob = 0.0;         ///< appearance probability at this node
     double w_sum = 0.0;
     double w2_sum = 0.0;
-    std::uint32_t parent = 0;  ///< node index; 0 is the root sentinel
   };
 
   /// One (rank, probability) step of an insertion path.
@@ -46,8 +50,11 @@ class UFPTree {
     double prob;
   };
 
-  /// Creates an empty tree over `num_ranks` item ranks.
-  explicit UFPTree(std::size_t num_ranks);
+  /// Creates an empty tree over `num_ranks` item ranks, sized for
+  /// `max_nodes` nodes (excluding the root). Every inserted unit adds at
+  /// most one node, so the caller's total path length is an exact bound;
+  /// a tree that outgrows it still works, it just reallocates.
+  UFPTree(std::size_t num_ranks, std::size_t max_nodes);
 
   /// Inserts `path` (sorted by ascending rank) carrying aggregate weight
   /// `w` and squared weight `w2`. Every node along the path accumulates
@@ -57,7 +64,8 @@ class UFPTree {
   /// Node arena; index 0 is the root sentinel.
   const std::vector<Node>& nodes() const { return nodes_; }
 
-  /// Header list: indices of all nodes labelled with `rank`.
+  /// Header list: indices of all nodes labelled with `rank`, in
+  /// creation order.
   const std::vector<std::uint32_t>& header(std::uint32_t rank) const {
     return headers_[rank];
   }
@@ -78,24 +86,18 @@ class UFPTree {
   void AncestorPathInto(std::uint32_t node, std::vector<PathUnit>& out) const;
 
  private:
-  struct ChildKey {
-    std::uint32_t rank;
-    std::uint64_t prob_bits;
-    friend bool operator==(const ChildKey& a, const ChildKey& b) {
-      return a.rank == b.rank && a.prob_bits == b.prob_bits;
-    }
-  };
-  struct ChildKeyHash {
-    std::size_t operator()(const ChildKey& k) const {
-      std::uint64_t h = k.prob_bits * 0x9E3779B97F4A7C15ULL;
-      h ^= (static_cast<std::uint64_t>(k.rank) + 0x9E3779B9ULL) + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
+  /// The child of `parent` labelled (`unit.rank`, bitwise `unit.prob`),
+  /// created (and appended to its header list) if it does not exist yet.
+  std::uint32_t FindOrAddChild(std::uint32_t parent, const PathUnit& unit);
+
+  /// Rebuilds `slots_` at `num_slots` from the node array.
+  void Rehash(std::size_t num_slots);
 
   std::vector<Node> nodes_;
-  /// children_[n]: map from (rank, prob) to the child node index of n.
-  std::vector<std::unordered_map<ChildKey, std::uint32_t, ChildKeyHash>> children_;
+  /// Child index over every non-root node: linear probing, load <= 1/2,
+  /// power-of-two size. A slot holds a node index; 0 (the root, which is
+  /// never a child) marks it empty.
+  std::vector<std::uint32_t> slots_;
   std::vector<std::vector<std::uint32_t>> headers_;
 };
 

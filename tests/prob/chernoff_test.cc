@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "prob/poisson_binomial.h"
 
@@ -45,8 +47,11 @@ TEST(ChernoffTest, BoundShrinksWithThresholdWithinEachBranch) {
 // Soundness: the bound must never fall below the exact tail, otherwise
 // Chernoff pruning would drop truly frequent itemsets. Property-swept
 // over random Poisson-binomial instances.
+// Both fields are 8 bytes wide so the struct has no padding: gtest prints
+// the parameter as a byte dump, and uninitialised padding bytes would make
+// the test names differ from run to run.
 struct ChernoffSoundnessCase {
-  unsigned seed;
+  std::uint64_t seed;
   std::size_t n;
 };
 
