@@ -33,6 +33,22 @@ void BM_TailDP(benchmark::State& state) {
 }
 BENCHMARK(BM_TailDP)->RangeMultiplier(4)->Range(64, 16384)->Complexity();
 
+// The certified-accept regime the bound cascade leaves to DPB: msc far
+// below the mean (n/2), so at the larger n the mass of every bin below
+// msc underflows to +0.0 before the last trial and the DP stops early.
+// BM_TailDP (msc = n/2) is the control: its live band shrinks from below
+// but never empties.
+void BM_TailDPAccept(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t msc = n / 8;
+  const auto probs = RandomProbs(n, 42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PoissonBinomialTailDP(probs, msc));
+  }
+  state.SetComplexityN(static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_TailDPAccept)->RangeMultiplier(4)->Range(1024, 65536);
+
 void BM_TailDC(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t msc = n / 2;

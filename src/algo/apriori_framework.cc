@@ -503,10 +503,13 @@ using JudgeFn = std::function<JudgeOutcome(const Itemset&, CandidateStats&,
                                            std::size_t ordinal)>;
 
 /// Applies `judge` to every candidate; candidate c carries the stable
-/// ordinal `ordinal_base + c`. With `judge_threads > 1` the calls run
-/// via ParallelFor — each candidate judged whole on one thread and
-/// written to its own slot, so the outcome vector is identical to the
-/// serial pass for any thread-safe judge.
+/// ordinal `ordinal_base + c`. With `judge_threads > 1` workers claim
+/// candidates one at a time (ParallelForDynamic), so the few expensive
+/// exact tails the bound cascade leaves — often adjacent ordinals — spread
+/// across workers instead of landing in one static chunk. Each candidate
+/// is judged whole on one thread and written to its own slot, so the
+/// outcome vector is identical to the serial pass for any thread-safe
+/// judge.
 std::vector<JudgeOutcome> JudgeAll(const std::vector<Itemset>& candidates,
                                    std::vector<CandidateStats>& stats,
                                    const JudgeFn& judge,
@@ -514,9 +517,9 @@ std::vector<JudgeOutcome> JudgeAll(const std::vector<Itemset>& candidates,
                                    std::size_t ordinal_base,
                                    const RunContext* context) {
   std::vector<JudgeOutcome> outcomes(candidates.size());
-  ParallelFor(
+  ParallelForDynamic(
       candidates.size(), judge_threads,
-      [&](std::size_t c) {
+      [&](std::size_t c, std::size_t /*worker*/) {
         PollRunContext(context);  // checkpoint: one per judged candidate
         outcomes[c] = judge(candidates[c], stats[c], ordinal_base + c);
       },

@@ -176,8 +176,10 @@ struct ProbabilisticLoopOptions {
   bool certified_tail = true;
   /// Worker threads for candidate counting (0 = all hardware threads).
   std::size_t num_threads = 1;
-  /// Also parallelize per-candidate tail evaluations. Only safe for a
-  /// `tail_fn` that is a pure function of its arguments — including
+  /// Also parallelize per-candidate tail evaluations. Workers claim
+  /// candidates one at a time, so a few expensive tails at neighbouring
+  /// ordinals still spread across workers. Only safe for a `tail_fn`
+  /// that is a pure function of its arguments — including
   /// `candidate_ordinal`, which is how MCSampling's sampler qualifies
   /// since its per-candidate RNG streams are derived, not shared.
   bool parallel_tails = false;

@@ -25,11 +25,18 @@ namespace {
 // from the partial state; once Pr(S_n >= top) is certified to be at least
 // a safety margin below reject_threshold, the DP aborts, stores the bound
 // in *early_bound, and returns true. Returns false after a full run.
+//
+// Only the live band [low, filled] is computed. Every bin below `low` is
+// exactly +0.0, and a +0.0 bin whose lower neighbour is +0.0 stays +0.0
+// under x * (1 - p) + y * p, so skipping those cells (and the +0.0 terms
+// of the reject sum) changes no bit of the pmf, the tail or the bound.
+// Probabilities must lie in [0, 1].
 bool TailDpCore(const std::vector<double>& probs, std::size_t top, bool capped,
                 double reject_threshold, std::vector<double>& pmf,
                 double* early_bound) {
   pmf.assign(top + 1, 0.0);
   pmf[0] = 1.0;
+  std::size_t low = 0;     // lowest index with possibly-nonzero mass
   std::size_t filled = 0;  // highest index with possibly-nonzero mass
   const std::size_t n = probs.size();
   // Margin under the caller's threshold: a completed DP differs from the
@@ -40,25 +47,30 @@ bool TailDpCore(const std::vector<double>& probs, std::size_t top, bool capped,
   for (std::size_t i = 0; i < n; ++i) {
     const double p = probs[i];
     const std::size_t hi = std::min(filled + 1, top);
-    for (std::size_t j = hi; j > 0; --j) {
-      const bool overflow_bin = capped && j == top;
-      if (overflow_bin) {
-        // Overflow keeps its mass and absorbs promotions from j-1.
-        pmf[j] = pmf[j] + pmf[j - 1] * p;
-      } else {
-        pmf[j] = pmf[j] * (1.0 - p) + pmf[j - 1] * p;
-      }
+    std::size_t j = hi;
+    if (capped && hi == top) {
+      // Overflow keeps its mass and absorbs promotions from top - 1.
+      pmf[top] = pmf[top] + pmf[top - 1] * p;
+      --j;
     }
-    pmf[0] *= (1.0 - p);
+    const std::size_t stop = std::max<std::size_t>(low, 1);
+    for (; j >= stop; --j) {
+      pmf[j] = pmf[j] * (1.0 - p) + pmf[j - 1] * p;
+    }
+    if (low == 0) pmf[0] *= (1.0 - p);
     filled = hi;
+    while (low < filled && pmf[low] == 0.0) ++low;
+    // Only the overflow bin is live: every later trial adds +0.0 to it,
+    // and a reject check would return exactly pmf[top].
+    if (capped && low == top) return false;
     if (reject_threshold >= 0.0 && (i & 63u) == 63u && i + 1 < n) {
       const std::size_t remaining = n - i - 1;
       if (remaining < top) {
         // Worlds gain at most one success per remaining trial, so
         // Pr(S_n >= top) <= Pr(S_i >= top - remaining).
         double reachable = 0.0;
-        for (std::size_t j = top - remaining; j <= filled; ++j) {
-          reachable += pmf[j];
+        for (std::size_t b = std::max(top - remaining, low); b <= filled; ++b) {
+          reachable += pmf[b];
         }
         if (reachable + kAbortSlack <= reject_threshold) {
           *early_bound = reachable;

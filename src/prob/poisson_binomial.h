@@ -23,10 +23,15 @@ struct SupportMoments {
 SupportMoments ComputeSupportMoments(const std::vector<double>& probs);
 
 /// Exact upper tail Pr(S >= k) by the dynamic program of Bernecker et al.
-/// (§3.2.1): O(n * k) time, O(k) memory. k == 0 returns 1.
+/// (§3.2.1): O(n * k) time in the worst case, O(k) memory. k == 0
+/// returns 1. Each trial computes only the bins from the lowest one with
+/// nonzero mass up to k, and the DP stops once only the overflow bin
+/// Pr(S >= k) holds mass; a bin whose mass has underflowed to +0.0 stays
+/// +0.0, so the result is bit-identical to the full recurrence.
+/// Probabilities must lie in [0, 1].
 double PoissonBinomialTailDP(const std::vector<double>& probs, std::size_t k);
 
-/// Exact tail-capped pmf by the same DP: result has length
+/// Exact tail-capped pmf by the same (live-band) DP: result has length
 /// min(n, cap) + 1; index j < cap is Pr(S = j) and the last index (== cap
 /// when n >= cap) is Pr(S >= cap).
 std::vector<double> PoissonBinomialCappedPmfDP(const std::vector<double>& probs,

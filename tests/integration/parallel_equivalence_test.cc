@@ -9,6 +9,7 @@
 // galloping, or SIMD), so these tests compare doubles with EXPECT_EQ.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <thread>
@@ -19,6 +20,8 @@
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
 #include "core/simd_intersect.h"
+#include "gen/benchmark_datasets.h"
+#include "gen/probability.h"
 #include "testing/random_db.h"
 
 namespace ufim {
@@ -436,6 +439,69 @@ TEST(ParallelEquivalenceTest, JoinKernelsMatchRowScanBaseline) {
           EXPECT_NEAR(joined[c].probs[i], rows[c].probs[i], 1e-12) << label;
         }
       }
+    }
+  }
+}
+
+/// The matrices above use 60-90 transactions: no DP bin ever underflows
+/// and every tail is cheap. This dense Accident-like database puts msc
+/// far below the frequent items' means, so the DP's live band dies
+/// mid-run, and the expensive exact tails the cascade leaves sit at
+/// neighbouring ordinals, so dynamically claimed judging spreads them
+/// over workers. Results and every counter must still match one thread.
+TEST(ParallelEquivalenceTest, ExactTailsOnDenseAccidentLikeDatabase) {
+  const UncertainDatabase db = AssignGaussianProbabilities(
+      MakeAccidentLike(4000, /*seed=*/61), 0.5, 0.5, /*seed=*/62);
+  const FlatView view(db);
+  ProbabilisticParams params;
+  params.min_sup = 0.15;
+  params.pft = 0.9;
+  const double msc =
+      static_cast<double>(params.MinSupportCount(view.num_transactions()));
+  struct Case {
+    const char* name;
+    PrefilterMode prefilter;
+  };
+  // MCSampling never applies the cascade (its tail is an estimate), so
+  // it runs once.
+  const Case cases[] = {{"DPB", PrefilterMode::kOff},
+                        {"DPB", PrefilterMode::kBounds},
+                        {"DCB", PrefilterMode::kOff},
+                        {"DCB", PrefilterMode::kBounds},
+                        {"MCSampling", PrefilterMode::kOff}};
+  for (const auto& [name, prefilter] : cases) {
+    MinerOptions options;
+    options.prefilter = prefilter;
+    options.num_threads = 1;
+    const auto baseline =
+        MinerRegistry::Global().Create(name, options)->Mine(view, params);
+    ASSERT_TRUE(baseline.ok()) << name;
+    ASSERT_GT(baseline->counters().exact_tail_evals, 8u) << name;
+    double max_esup = 0.0;
+    for (std::size_t i = 0; i < baseline->size(); ++i) {
+      max_esup = std::max(max_esup, (*baseline)[i].expected_support);
+    }
+    ASSERT_GT(max_esup, 2.0 * msc) << name << ": msc not below item means";
+    for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      options.num_threads = threads;
+      const auto run =
+          MinerRegistry::Global().Create(name, options)->Mine(view, params);
+      ASSERT_TRUE(run.ok()) << name;
+      const std::string label =
+          std::string("accident/") + name + "@" + std::to_string(threads) +
+          "/" + std::string(PrefilterModeName(prefilter));
+      ExpectIdentical(run.value(), baseline.value(), label);
+      const MiningCounters& have = run->counters();
+      const MiningCounters& want = baseline->counters();
+      EXPECT_EQ(have.candidates_generated, want.candidates_generated)
+          << label;
+      EXPECT_EQ(have.candidates_rejected_bound,
+                want.candidates_rejected_bound)
+          << label;
+      EXPECT_EQ(have.candidates_accepted_bound,
+                want.candidates_accepted_bound)
+          << label;
+      EXPECT_EQ(have.exact_tail_evals, want.exact_tail_evals) << label;
     }
   }
 }

@@ -1,7 +1,12 @@
 #include "prob/poisson_binomial.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +160,148 @@ TEST(PoissonBinomialTest, PaperTable2Example) {
   EXPECT_NEAR(pmf[2], 0.48, 1e-12);
   EXPECT_NEAR(pmf[3], 0.32, 1e-12);
   EXPECT_NEAR(PoissonBinomialTailDP(a, 2), 0.8, 1e-12);
+}
+
+// Reference for the live-band DP: the full-range recurrence, which
+// recomputes every bin in [1, min(filled + 1, top)] on every trial,
+// including bins whose mass has underflowed to +0.0.
+bool ReferenceTailDpCore(const std::vector<double>& probs, std::size_t top,
+                         bool capped, double reject_threshold,
+                         std::vector<double>& pmf, double* early_bound) {
+  pmf.assign(top + 1, 0.0);
+  pmf[0] = 1.0;
+  std::size_t filled = 0;
+  const std::size_t n = probs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = probs[i];
+    const std::size_t hi = std::min(filled + 1, top);
+    for (std::size_t j = hi; j > 0; --j) {
+      if (capped && j == top) {
+        pmf[j] = pmf[j] + pmf[j - 1] * p;
+      } else {
+        pmf[j] = pmf[j] * (1.0 - p) + pmf[j - 1] * p;
+      }
+    }
+    pmf[0] *= (1.0 - p);
+    filled = hi;
+    if (reject_threshold >= 0.0 && (i & 63u) == 63u && i + 1 < n) {
+      const std::size_t remaining = n - i - 1;
+      if (remaining < top) {
+        double reachable = 0.0;
+        for (std::size_t j = top - remaining; j <= filled; ++j) {
+          reachable += pmf[j];
+        }
+        if (reachable + 1e-7 <= reject_threshold) {
+          *early_bound = reachable;
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+std::vector<double> ReferenceCappedPmf(const std::vector<double>& probs,
+                                       std::size_t cap) {
+  const std::size_t top = std::min(cap, probs.size());
+  if (top == 0) return {1.0};
+  std::vector<double> pmf;
+  ReferenceTailDpCore(probs, top, probs.size() > cap, -1.0, pmf, nullptr);
+  return pmf;
+}
+
+double ReferenceTail(const std::vector<double>& probs, std::size_t k,
+                     double reject_threshold) {
+  if (k == 0) return 1.0;
+  if (probs.size() < k) return 0.0;
+  std::vector<double> pmf;
+  double early_bound = 0.0;
+  if (ReferenceTailDpCore(probs, k, probs.size() > k, reject_threshold, pmf,
+                          &early_bound)) {
+    return early_bound;
+  }
+  return pmf[k];
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Requires the capped pmf and both tail overloads (reject threshold 0.9
+/// and disabled) to equal the full-range recurrence bit for bit.
+void ExpectMatchesReference(const std::vector<double>& probs, std::size_t k,
+                            const std::string& label) {
+  const std::vector<double> pmf = PoissonBinomialCappedPmfDP(probs, k);
+  const std::vector<double> want = ReferenceCappedPmf(probs, k);
+  ASSERT_EQ(pmf.size(), want.size()) << label;
+  EXPECT_EQ(std::memcmp(pmf.data(), want.data(), pmf.size() * sizeof(double)),
+            0)
+      << label;
+  const double full = ReferenceTail(probs, k, -1.0);
+  EXPECT_TRUE(SameBits(PoissonBinomialTailDP(probs, k), full)) << label;
+  DpScratch scratch;
+  for (double threshold : {0.9, -1.0}) {
+    EXPECT_TRUE(SameBits(PoissonBinomialTailDP(probs, k, threshold, scratch),
+                         ReferenceTail(probs, k, threshold)))
+        << label << " reject_threshold=" << threshold;
+  }
+}
+
+TEST(PoissonBinomialLiveBandTest, BandDiesMidRunWhenCapped) {
+  // Mean 10000 far above k: every bin below k underflows to +0.0 long
+  // before the last trial, so the DP stops on the overflow bin alone.
+  const std::vector<double> probs(20000, 0.5);
+  ExpectMatchesReference(probs, 3000, "n=20000 p=0.5 k=3000");
+}
+
+TEST(PoissonBinomialLiveBandTest, UncappedAtKEqualsN) {
+  Rng rng(21);
+  std::vector<double> probs(2000);
+  for (double& p : probs) p = rng.Uniform01();
+  ExpectMatchesReference(probs, probs.size(), "k=n random");
+  const std::vector<double> high(1500, 0.999);
+  ExpectMatchesReference(high, high.size(), "k=n p=0.999");
+}
+
+TEST(PoissonBinomialLiveBandTest, KAboveMeanBandNeverDies) {
+  Rng rng(22);
+  std::vector<double> probs(4000);
+  for (double& p : probs) p = rng.Uniform01();
+  const double mean = ComputeSupportMoments(probs).mean;
+  for (double scale : {1.05, 1.2}) {
+    const auto k = static_cast<std::size_t>(mean * scale);
+    ExpectMatchesReference(probs, k, "k=" + std::to_string(k));
+  }
+}
+
+TEST(PoissonBinomialLiveBandTest, AllOnesAdvanceLowEveryTrial) {
+  const std::vector<double> ones(500, 1.0);
+  for (std::size_t k : {std::size_t{1}, std::size_t{100}, std::size_t{499},
+                        std::size_t{500}}) {
+    ExpectMatchesReference(ones, k, "all-ones k=" + std::to_string(k));
+  }
+}
+
+TEST(PoissonBinomialLiveBandTest, ExtremeProbabilitiesMixedIn) {
+  const double kExtremes[] = {0.0, 1.0, 1.0 - 1e-12, 1e-300,
+                              std::numeric_limits<double>::denorm_min()};
+  Rng rng(23);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<double> probs(3000);
+    for (double& p : probs) {
+      p = rng.Uniform01() < 0.4 ? kExtremes[rng.UniformInt(0, 4)]
+                                : rng.Uniform01();
+    }
+    const double mean = ComputeSupportMoments(probs).mean;
+    for (std::size_t k :
+         {std::size_t{1}, static_cast<std::size_t>(mean / 4),
+          static_cast<std::size_t>(mean), static_cast<std::size_t>(mean) + 40,
+          probs.size()}) {
+      ExpectMatchesReference(probs, k,
+                             "trial=" + std::to_string(trial) +
+                                 " k=" + std::to_string(k));
+    }
+  }
 }
 
 // CLT regime: for large n the Normal approximation with continuity
