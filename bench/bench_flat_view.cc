@@ -1,6 +1,6 @@
 // FlatView columnar support counting vs. the row-scan baseline, on the
 // QUEST scalability family (the acceptance gate for the columnar
-// refactor: the posting-join path must not be slower than re-walking
+// refactor: columnar counting must not be slower than re-walking
 // row-oriented transactions).
 //
 // Measured per dataset size:

@@ -1,11 +1,12 @@
 // Posting-intersection kernel sweep: scalar vs galloping vs SIMD on
 // synthetic sorted tid lists across length skew and match density, plus
-// the end-to-end batch join (EvaluateCandidates posting path) on QUEST
-// under each forced kernel.
+// the batch posting join (FlatView::JoinPostingsBatched) over QUEST and
+// Connect-like pair candidates under each forced kernel.
 //
 //   BM_Intersect/<skew>/<density%>/<kernel> — intersect a 4096-element
 //     list against one skew× longer; density% of the short list matches.
-//   BM_JoinCandidatesKernel/<n>/<kernel> — level-2 candidate counting.
+//   BM_JoinCandidatesKernel/<n>/<kernel> — one posting join per level-2
+//     candidate.
 //
 // Results are recorded in BENCH_simd.json together with the host CPU
 // features (the dispatcher's auto pick depends on them).
@@ -90,9 +91,10 @@ void BM_Intersect(benchmark::State& state) {
 BENCHMARK(BM_Intersect)
     ->ArgsProduct({{1, 16, 256, 2048}, {10, 90}, {0, 1, 2}});
 
-/// End-to-end: the batch posting-join path of EvaluateCandidates on the
-/// QUEST level-2 candidates, forced onto each kernel (single thread, so
-/// the delta is pure kernel).
+/// The batch posting join per candidate over the QUEST level-2
+/// candidates, forced onto each kernel (single thread, so the delta is
+/// pure kernel). EvaluateCandidates counts pairs by pair rows, which no
+/// intersection kernel touches, so the joins run here directly.
 void RunJoinCandidates(benchmark::State& state, const UncertainDatabase& db,
                        double min_esup_ratio, IntersectKernel kernel) {
   const FlatView view(db);
@@ -104,17 +106,20 @@ void RunJoinCandidates(benchmark::State& state, const UncertainDatabase& db,
     if (is.esup >= threshold) frequent.push_back(Itemset{is.item});
   }
   std::vector<Itemset> candidates = GenerateCandidates(frequent, nullptr);
-  // Keep the candidate set small enough that the cost model stays on the
-  // posting-join path (a dense pair level would flip it to the probe
-  // sweep, which no intersection kernel touches).
+  // The candidate cap of the BENCH_simd.json rows.
   if (candidates.size() > 2000) candidates.resize(2000);
 
   SetIntersectKernel(kernel);
+  JoinScratch scratch;
   for (auto _ : state) {
-    auto out = EvaluateCandidates(view, candidates, /*collect_probs=*/false,
-                                  /*decremental_threshold=*/-1.0,
-                                  /*num_threads=*/1);
-    benchmark::DoNotOptimize(out);
+    double esup = 0.0;
+    for (const Itemset& c : candidates) {
+      view.JoinPostingsBatched(c, scratch, [&esup](const JoinBatch& batch) {
+        for (const double prod : batch.prods) esup += prod;
+        return true;
+      });
+    }
+    benchmark::DoNotOptimize(esup);
   }
   SetIntersectKernel(IntersectKernel::kAuto);
   state.counters["candidates"] = static_cast<double>(candidates.size());

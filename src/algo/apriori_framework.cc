@@ -109,10 +109,10 @@ void JoinCandidate(const FlatView& view, const Itemset& candidate,
     for (const double prod : batch.prods) {
       esup.Add(prod);
       stats.sq_sum += prod * prod;
-    }
-    if (collect_probs) {
-      stats.probs.insert(stats.probs.end(), batch.prods.begin(),
-                         batch.prods.end());
+      // A product that underflowed to +0.0 stays in the sums (so their
+      // bits match every other path) but is not a nonzero containment
+      // probability.
+      if (collect_probs && prod != 0.0) stats.probs.push_back(prod);
     }
     if (decremental && batch.driver_done < batch.driver_len) {
       // Each remaining driver posting contributes at most 1 to esup.
@@ -133,205 +133,120 @@ void JoinCandidate(const FlatView& view, const Itemset& candidate,
   }
 }
 
-/// Reusable scratch of one in-flight probe-sweep shard. Dense arrays are
-/// allocated once per wave slot and reset sparsely (via the touched
-/// list) after each merge, so per-shard cost scales with the shard's
-/// actual contributions, not with the candidate count.
-struct SweepSlot {
-  std::vector<KahanSum> esup;               ///< dense, n_cands
-  std::vector<double> sq_sum;               ///< dense, n_cands
-  std::vector<std::vector<double>> probs;   ///< dense when collecting
-  std::vector<char> seen;                   ///< dense touched marker
-  std::vector<std::uint32_t> touched;       ///< candidates hit, unsorted
-  std::vector<double> probe;                ///< dense, n_items
-
-  SweepSlot(std::size_t n_cands, std::size_t n_items, bool collect_probs)
-      : esup(n_cands), sq_sum(n_cands, 0.0), seen(n_cands, 0),
-        probe(n_items, 0.0) {
-    if (collect_probs) probs.resize(n_cands);
-  }
-};
-
-/// One probe-sweep shard: evaluates every still-active candidate over
-/// the view's transactions [lo, hi) (view-relative offsets) into
-/// `slot`, recording which candidates were touched. Identical inner
-/// loop to the row-scan baseline, but every read is sequential over
-/// FlatView storage.
-/// First-item candidate buckets in CSR layout: candidates whose first
-/// member is item i live in cands[offsets[i] .. offsets[i+1]). One flat
-/// array keeps the per-unit probe loop walking contiguous memory
-/// instead of chasing a vector-of-vectors indirection per transaction
-/// unit.
+/// First-item candidate buckets in CSR layout: the pairs whose first
+/// member is item i live in cands[offsets[i] .. offsets[i+1]), ascending
+/// by candidate id. `items` lists the first items with a non-empty
+/// bucket, ascending — the work units of the pair kernel.
 struct CandidateBuckets {
   std::vector<std::uint32_t> offsets;  ///< size n_items + 1
-  std::vector<std::uint32_t> cands;    ///< candidate ids, ascending per bucket
+  std::vector<std::uint32_t> cands;    ///< candidate ids
+  std::vector<ItemId> items;           ///< first items with a pair
 
   CandidateBuckets(const std::vector<Itemset>& candidates,
+                   const std::vector<std::uint32_t>& pair_ids,
                    std::size_t n_items) {
     offsets.assign(n_items + 1, 0);
-    for (const Itemset& c : candidates) ++offsets[c.items().front() + 1];
-    for (std::size_t i = 0; i < n_items; ++i) offsets[i + 1] += offsets[i];
-    cands.resize(candidates.size());
+    for (const std::uint32_t c : pair_ids) {
+      ++offsets[candidates[c].items().front() + 1];
+    }
+    for (std::size_t i = 0; i < n_items; ++i) {
+      if (offsets[i + 1] > 0) items.push_back(static_cast<ItemId>(i));
+      offsets[i + 1] += offsets[i];
+    }
+    cands.resize(pair_ids.size());
     std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      cands[fill[candidates[c].items().front()]++] =
-          static_cast<std::uint32_t>(c);
+    for (const std::uint32_t c : pair_ids) {
+      cands[fill[candidates[c].items().front()]++] = c;
     }
   }
 };
 
-void SweepShard(const FlatView& view, const std::vector<Itemset>& candidates,
-                const CandidateBuckets& buckets,
-                const std::vector<char>& active, bool collect_probs,
-                std::size_t lo, std::size_t hi, SweepSlot& slot) {
-  const TransactionId first = view.begin_tid();
-  for (std::size_t ti = lo; ti < hi; ++ti) {
-    const TransactionId tid = first + static_cast<TransactionId>(ti);
-    const std::span<const ProbItem> units = view.TransactionUnits(tid);
-    for (const ProbItem& u : units) slot.probe[u.item] = u.prob;
-    for (const ProbItem& u : units) {
-      const std::uint32_t bucket_end = buckets.offsets[u.item + 1];
-      for (std::uint32_t bi = buckets.offsets[u.item]; bi < bucket_end; ++bi) {
-        const std::uint32_t c = buckets.cands[bi];
-        if (!active[c]) continue;
-        double prod = u.prob;
-        const std::vector<ItemId>& members = candidates[c].items();
-        for (std::size_t k = 1; k < members.size(); ++k) {
-          const double p = slot.probe[members[k]];
-          if (p == 0.0) {
-            prod = 0.0;
-            break;
-          }
-          prod *= p;
-        }
-        if (prod > 0.0) {
-          if (!slot.seen[c]) {
-            slot.seen[c] = 1;
-            slot.touched.push_back(c);
-          }
-          slot.esup[c].Add(prod);
-          slot.sq_sum[c] += prod * prod;
-          if (collect_probs) slot.probs[c].push_back(prod);
-        }
-      }
+/// One worker's scratch for the pair kernel: a dense item -> partner
+/// slot map (kNoPartner outside the bucket being counted) and the
+/// partners' accumulators. Sized once per call and reset sparsely after
+/// each bucket, so a bucket costs its own postings and partners only.
+struct PairScratch {
+  static constexpr std::uint32_t kNoPartner = ~std::uint32_t{0};
+
+  std::vector<std::uint32_t> slot_of;  ///< dense, n_items
+  std::vector<std::uint32_t> owner;    ///< per slot: its first candidate
+  std::vector<KahanSum> esup;          ///< per slot
+  std::vector<double> sq_sum;
+  std::vector<std::vector<double>> probs;
+
+  explicit PairScratch(std::size_t n_items)
+      : slot_of(n_items, kNoPartner) {}
+};
+
+/// Counts every pair {a, b} of `a`'s bucket with one walk over `a`'s
+/// postings in tid order: for each posting (tid, p_a) it reads the units
+/// of `tid` after `a`, and each wanted partner b adds p_a·p_b to its own
+/// accumulators. Per pair this is one Kahan sum over the matching
+/// transactions in ascending tid order of a two-factor product — exactly
+/// the operation sequence of the pair's posting join (two-factor
+/// products commute), so the moments are bit-identical to
+/// `JoinCandidate` without decremental pruning.
+void CountPairBucket(const FlatView& view, const std::vector<Itemset>& candidates,
+                     const CandidateBuckets& buckets, ItemId a,
+                     bool collect_probs, PairScratch& s,
+                     std::vector<CandidateStats>& stats) {
+  const std::uint32_t* const first = buckets.cands.data() + buckets.offsets[a];
+  const std::uint32_t* const last = buckets.cands.data() + buckets.offsets[a + 1];
+  // Partner slots in bucket order; a duplicated pair shares its slot.
+  s.owner.clear();
+  ItemId max_partner = 0;
+  for (const std::uint32_t* c = first; c != last; ++c) {
+    const ItemId b = candidates[*c].items()[1];
+    if (s.slot_of[b] == PairScratch::kNoPartner) {
+      s.slot_of[b] = static_cast<std::uint32_t>(s.owner.size());
+      s.owner.push_back(*c);
     }
-    for (const ProbItem& u : units) slot.probe[u.item] = 0.0;
+    max_partner = std::max(max_partner, b);
   }
-}
+  const std::size_t n_slots = s.owner.size();
+  s.esup.assign(n_slots, KahanSum());
+  s.sq_sum.assign(n_slots, 0.0);
+  if (collect_probs && s.probs.size() < n_slots) s.probs.resize(n_slots);
 
-/// Probe sweep over the view's flat horizontal arrays: candidates
-/// bucketed by first item and probed against a dense per-transaction
-/// probability array, one shard of transactions at a time. Wins over
-/// per-candidate joins when the candidate set is dense (level 2 of a
-/// low-threshold run).
-///
-/// The shard decomposition is a pure function of the view size — never
-/// of `num_threads` — and per-candidate shard partials are merged in
-/// ascending shard order, so the result is bit-identical at every
-/// thread count. Threads only decide how many shards of one wave are in
-/// flight at once (which also bounds the transient partial-stats
-/// buffers to one wave's worth).
-std::vector<CandidateStats> ProbeSweep(const FlatView& view,
-                                       const std::vector<Itemset>& candidates,
-                                       bool collect_probs,
-                                       double decremental_threshold,
-                                       std::size_t num_threads,
-                                       const RunContext* context) {
-  const std::size_t n_items = view.num_items();
-  const std::size_t n_cands = candidates.size();
-  std::vector<CandidateStats> stats(n_cands);
-
-  const CandidateBuckets buckets(candidates, n_items);
-
-  // Fixed-size transaction shards. Up to kMaxShards * kShardTxns
-  // transactions, shards hold ~kShardTxns transactions (the ceiling
-  // division spreads the remainder), so the single-thread wave checks
-  // decremental pruning at roughly the old sequential sweep's
-  // every-512-txn cadence; beyond that the kMaxShards clamp (which
-  // keeps the per-candidate merge fan-in bounded) grows the shards, and
-  // with them the interval between decremental checks — a work
-  // trade-off only, never a correctness one.
-  constexpr std::size_t kShardTxns = 512;
-  constexpr std::size_t kMaxShards = 256;
-  const std::size_t n_txn = view.num_transactions();
-  const std::size_t num_shards =
-      std::clamp<std::size_t>((n_txn + kShardTxns - 1) / kShardTxns, 1,
-                              kMaxShards);
-
-  std::vector<KahanSum> esup(n_cands);
-  std::vector<char> active(n_cands, 1);
-  const bool decremental = decremental_threshold >= 0.0;
-
-  const std::size_t wave =
-      std::max<std::size_t>(std::min(num_threads, num_shards), 1);
-  std::vector<SweepSlot> slots;
-  slots.reserve(wave);
-  for (std::size_t j = 0; j < wave; ++j) {
-    slots.emplace_back(n_cands, n_items, collect_probs);
-  }
-  for (std::size_t base = 0; base < num_shards; base += wave) {
-    const std::size_t batch = std::min(wave, num_shards - base);
-    ParallelFor(
-        batch, num_threads,
-        [&](std::size_t j) {
-          PollRunContext(context);  // checkpoint: one per sweep shard
-          const std::size_t s = base + j;
-          SweepShard(view, candidates, buckets, active, collect_probs,
-                     s * n_txn / num_shards, (s + 1) * n_txn / num_shards,
-                     slots[j]);
-        },
-        context);
-    // Ordered merge: shard s is always folded in before shard s+1, in
-    // ascending candidate order, and only candidates the shard actually
-    // touched are folded (a pure function of the data) — so the
-    // floating-point op sequence per candidate is shard-structured and
-    // thread-count-independent. A sparse shard merges via its sorted
-    // touched list; a dense one scans the flags directly (sorting a
-    // touched list that covers most candidates costs more than the
-    // scan). Either walk folds the same set in the same ascending
-    // order, and the density cutoff depends only on the data, so the
-    // choice never perturbs results. Resetting entries as they merge
-    // keeps slot reuse allocation-free.
-    for (std::size_t j = 0; j < batch; ++j) {
-      SweepSlot& slot = slots[j];
-      auto fold = [&](std::size_t c) {
-        esup[c].Add(slot.esup[c].value());
-        stats[c].sq_sum += slot.sq_sum[c];
-        slot.esup[c] = KahanSum();
-        slot.sq_sum[c] = 0.0;
-        slot.seen[c] = 0;
-        if (collect_probs) {
-          stats[c].probs.insert(stats[c].probs.end(), slot.probs[c].begin(),
-                                slot.probs[c].end());
-          slot.probs[c].clear();
-        }
-      };
-      if (slot.touched.size() * 8 < n_cands) {
-        std::sort(slot.touched.begin(), slot.touched.end());
-        for (std::uint32_t c : slot.touched) fold(c);
-      } else {
-        for (std::size_t c = 0; c < n_cands; ++c) {
-          if (slot.seen[c]) fold(c);
-        }
-      }
-      slot.touched.clear();
-    }
-    // Decremental deactivation between waves. The check granularity (and
-    // with it the partial sums of *abandoned* candidates) coarsens with
-    // the wave width; candidates that reach the threshold are never
-    // abandoned and accumulate over every shard identically.
-    if (decremental && base + batch < num_shards) {
-      const std::size_t done = (base + batch) * n_txn / num_shards;
-      const double remaining = static_cast<double>(n_txn - done);
-      for (std::size_t c = 0; c < n_cands; ++c) {
-        if (active[c] && esup[c].value() + remaining < decremental_threshold) {
-          active[c] = 0;
-        }
+  const SegmentedPostings postings = view.PostingSegments(a);
+  for (std::size_t si = 0; si < postings.count; ++si) {
+    const PostingSegment& seg = postings.seg[si];
+    for (std::size_t k = 0; k < seg.len; ++k) {
+      const double pa = seg.probs[k];
+      const std::span<const ProbItem> units = view.TransactionUnits(seg.tids[k]);
+      auto u = std::upper_bound(
+          units.begin(), units.end(), a,
+          [](ItemId needle, const ProbItem& x) { return needle < x.item; });
+      for (; u != units.end() && u->item <= max_partner; ++u) {
+        const std::uint32_t slot = s.slot_of[u->item];
+        if (slot == PairScratch::kNoPartner) continue;
+        const double prod = pa * u->prob;
+        s.esup[slot].Add(prod);
+        s.sq_sum[slot] += prod * prod;
+        // An underflowed product stays in the sums (as in the join) but
+        // is not a nonzero containment probability.
+        if (collect_probs && prod != 0.0) s.probs[slot].push_back(prod);
       }
     }
   }
-  for (std::size_t c = 0; c < n_cands; ++c) stats[c].esup = esup[c].value();
-  return stats;
+
+  // The probs move out, so no worker keeps a bucket's worth of them.
+  for (std::size_t slot = 0; slot < n_slots; ++slot) {
+    CandidateStats& out = stats[s.owner[slot]];
+    out.esup = s.esup[slot].value();
+    out.sq_sum = s.sq_sum[slot];
+    if (collect_probs) {
+      out.probs = std::move(s.probs[slot]);
+      s.probs[slot].clear();
+    }
+  }
+  for (const std::uint32_t* c = first; c != last; ++c) {
+    const std::uint32_t owner = s.owner[s.slot_of[candidates[*c].items()[1]]];
+    if (owner != *c) stats[*c] = stats[owner];
+  }
+  for (const std::uint32_t* c = first; c != last; ++c) {
+    s.slot_of[candidates[*c].items()[1]] = PairScratch::kNoPartner;
+  }
 }
 
 }  // namespace
@@ -342,65 +257,57 @@ std::vector<CandidateStats> EvaluateCandidates(const FlatView& view,
                                                double decremental_threshold,
                                                std::size_t num_threads,
                                                const RunContext* context) {
-  if (candidates.empty()) return {};
-  if (num_threads == 0) num_threads = HardwareThreads();
-
-  // Strategy selection by estimated work. A posting join touches the
-  // driver (shortest) posting list per candidate, with a binary-search
-  // constant on the other members; the probe sweep touches the first
-  // item's postings per candidate plus one pass over all units. Joins
-  // win for small or selective candidate sets (deep levels); the sweep
-  // wins for the dense pair level of a low-threshold run.
-  // The estimate is sampled (deterministic stride) so the strategy pick
-  // stays O(1)-ish even with hundreds of thousands of pair candidates.
-  constexpr double kSearchOverhead = 4.0;
-  constexpr std::size_t kCostSamples = 512;
-  const std::size_t stride = std::max<std::size_t>(candidates.size() / kCostSamples, 1);
-  double join_cost = 0.0;
-  double sweep_cost = 0.0;
-  std::size_t sampled = 0;
-  for (std::size_t c = 0; c < candidates.size(); c += stride, ++sampled) {
-    const std::vector<ItemId>& items = candidates[c].items();
-    // Logical posting counts (base + streaming delta), so the strategy
-    // pick — and with it the whole evaluation — is a pure function of
-    // the viewed data, never of its physical segmentation.
-    const std::size_t first_len = view.PostingCount(items[0]);
-    std::size_t shortest = first_len;
-    for (std::size_t k = 1; k < items.size(); ++k) {
-      shortest = std::min(shortest, view.PostingCount(items[k]));
-    }
-    join_cost += kSearchOverhead * static_cast<double>(shortest);
-    sweep_cost += static_cast<double>(first_len);
-  }
-  const double scale =
-      static_cast<double>(candidates.size()) / static_cast<double>(sampled);
-  join_cost *= scale;
-  sweep_cost = sweep_cost * scale + static_cast<double>(view.num_units());
-  if (join_cost >= sweep_cost) {
-    return ProbeSweep(view, candidates, collect_probs, decremental_threshold,
-                      num_threads, context);
-  }
-
-  // Posting-join path: partitioned by candidate — each candidate's join
-  // runs whole on one worker, so per-candidate accumulation (and the
-  // decremental abandonment schedule) is exactly the sequential one at
-  // every thread count. Workers are dealt contiguous candidate chunks
-  // so each can reuse one JoinScratch across its whole share (the batch
-  // kernel allocates nothing after the first join).
   std::vector<CandidateStats> stats(candidates.size());
-  std::vector<JoinScratch> scratches(
-      ParallelChunkCount(candidates.size(), num_threads));
-  ParallelForChunks(
-      candidates.size(), num_threads,
-      [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-        JoinScratch& scratch = scratches[chunk];
-        for (std::size_t c = lo; c < hi; ++c) {
+  if (candidates.empty()) return stats;
+  const std::size_t n_items = view.num_items();
+
+  // Pairs go to the pair kernel, everything else to the posting join. A
+  // pair naming an item outside the view has no postings: zero stats.
+  std::vector<std::uint32_t> pair_ids;
+  std::vector<std::uint32_t> join_ids;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    const std::vector<ItemId>& items = candidates[c].items();
+    if (items.size() != 2) {
+      join_ids.push_back(static_cast<std::uint32_t>(c));
+    } else if (items[1] < n_items) {
+      pair_ids.push_back(static_cast<std::uint32_t>(c));
+    }
+  }
+
+  // Pair kernel: workers claim one first item at a time; each bucket is
+  // counted whole by one worker into its candidates' own slots.
+  if (!pair_ids.empty()) {
+    const CandidateBuckets buckets(candidates, pair_ids, n_items);
+    std::vector<PairScratch> scratches(
+        ParallelWorkerCount(buckets.items.size(), num_threads),
+        PairScratch(n_items));
+    ParallelForDynamic(
+        buckets.items.size(), num_threads,
+        [&](std::size_t i, std::size_t worker) {
+          PollRunContext(context);  // checkpoint: one per first-item bucket
+          CountPairBucket(view, candidates, buckets, buckets.items[i],
+                          collect_probs, scratches[worker], stats);
+        },
+        context);
+  }
+
+  // Posting joins: workers claim one candidate at a time, and each join
+  // runs whole on one worker through that worker's JoinScratch, so the
+  // accumulation (and the decremental abandonment schedule) is the
+  // sequential one at every thread count.
+  if (!join_ids.empty()) {
+    std::vector<JoinScratch> scratches(
+        ParallelWorkerCount(join_ids.size(), num_threads));
+    ParallelForDynamic(
+        join_ids.size(), num_threads,
+        [&](std::size_t i, std::size_t worker) {
           PollRunContext(context);  // checkpoint: one per candidate join
+          const std::uint32_t c = join_ids[i];
           JoinCandidate(view, candidates[c], collect_probs,
-                        decremental_threshold, scratch, stats[c]);
-        }
-      },
-      context);
+                        decremental_threshold, scratches[worker], stats[c]);
+        },
+        context);
+  }
   return stats;
 }
 

@@ -20,20 +20,25 @@ namespace ufim {
 /// generation and support counting is exactly the "common subroutines"
 /// uniformity the paper's experimental methodology demands (§4.1).
 ///
-/// Support counting runs over the columnar `FlatView`: each candidate's
-/// containment probabilities come from a merge-join of its members'
-/// posting arrays (ascending-tid index joins over contiguous memory),
-/// replacing the row-oriented probe-array scan. The row scan survives as
+/// Support counting runs over the columnar `FlatView` with two kernels,
+/// chosen by candidate size alone. Pairs are counted in *pair rows*: the
+/// pairs sharing a first item `a` are counted together by one walk over
+/// `a`'s postings, reading each such transaction's units after `a`.
+/// Larger candidates run a merge-join of their members' posting arrays
+/// (ascending-tid index joins over contiguous memory). Both produce, per
+/// candidate, one Kahan sum of the containment products in ascending
+/// transaction order, so a candidate's moments are the same bits
+/// whichever kernel, thread count, intersect kernel or posting
+/// segmentation produced them. The row-oriented probe scan survives as
 /// `EvaluateCandidatesRowScan` — the baseline the equivalence tests and
 /// the FlatView bench compare against.
 ///
-/// Counting is parallel when `num_threads > 1`, and deterministically so:
-/// the posting-join path partitions by candidate (each candidate's join
-/// runs whole on one thread), the probe sweep partitions transactions
-/// into *fixed* shards — a function of the view size, never of the
-/// thread count — whose per-candidate partials are merged in ascending
-/// shard order. Results are therefore bit-identical at every thread
-/// count, including the `num_threads = 1` sequential fallback.
+/// Counting is parallel when `num_threads > 1`, and deterministically
+/// so: workers claim one first item (pair rows) or one candidate
+/// (joins) at a time, and each claimed unit runs whole on one worker
+/// into its candidates' own slots. Results are therefore bit-identical
+/// at every thread count, including the `num_threads = 1` sequential
+/// fallback.
 
 /// Accumulated statistics for one candidate after a database scan.
 struct CandidateStats {
@@ -65,32 +70,32 @@ std::vector<Itemset> GenerateCandidates(const std::vector<Itemset>& frequent_k,
                                         std::uint64_t* pruned);
 
 /// Evaluates all `candidates` (any mixture of sizes >= 2) over the
-/// columnar view, choosing per call between two strategies by estimated
-/// work: posting-list merge-joins (each candidate driven from its
-/// shortest member posting array, the other members' cursors advanced
-/// monotonically) for small or selective candidate sets, and a bucketed
-/// probe sweep over the view's contiguous horizontal arrays for dense
-/// candidate sets such as the pair level of a low-threshold run.
+/// columnar view: pairs by pair rows, larger candidates by posting
+/// joins (each driven from its shortest member posting array, the other
+/// members' cursors advanced monotonically). Every candidate's `esup`
+/// and `sq_sum` are the Kahan sum and plain sum, in ascending
+/// transaction order, of its containment products — underflowed +0.0
+/// products included — so no kernel, schedule or segmentation can move
+/// a bit (decremental abandonment, below, only cuts a sum short).
 ///
 /// `collect_probs` stores the nonzero per-transaction probabilities in
 /// ascending transaction order (needed by the exact probabilistic
-/// algorithms).
+/// algorithms); products that underflow to +0.0 are left out.
 ///
 /// `decremental_threshold`, when >= 0, enables UApriori's decremental
-/// pruning: periodically during the join (or between probe-sweep
-/// shards), a candidate whose optimistic bound esup_so_far + (transactions
+/// pruning for the joined (size >= 3) candidates: at every join batch, a
+/// candidate whose optimistic bound esup_so_far + (driver postings
 /// remaining) can no longer reach the threshold is abandoned. Abandoned
 /// candidates report whatever they accumulated; they are guaranteed
-/// infrequent. In the sweep, the deactivation schedule coarsens with the
-/// thread count, so only abandoned (infrequent) candidates may report
-/// thread-count-dependent partial sums — candidates that reach the
-/// threshold are never abandoned and stay bit-identical.
+/// infrequent. The batch schedule depends only on the driver length, so
+/// even the partial sums are thread-count independent. Pairs are always
+/// counted in full.
 ///
 /// `num_threads`: 0 means all hardware threads, 1 (the default) the
 /// sequential baseline.
 ///
-/// `context`, when non-null, is polled once per candidate join (or per
-/// sweep shard); a trip unwinds with RunAbortedError.
+/// `context`, when non-null, is polled once per pair bucket and once
+/// per candidate join; a trip unwinds with RunAbortedError.
 std::vector<CandidateStats> EvaluateCandidates(const FlatView& view,
                                                const std::vector<Itemset>& candidates,
                                                bool collect_probs,

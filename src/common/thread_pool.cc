@@ -524,11 +524,8 @@ void ParallelFor(std::size_t n, std::size_t num_threads,
 }
 
 std::size_t ParallelWorkerCount(std::size_t n, std::size_t num_threads) {
-  // Same policy as the chunk count on purpose: one worker per would-be
-  // chunk. Delegating keeps the two from drifting apart — callers size
-  // per-worker scratch off this and ParallelForDynamic hands out ids
-  // below it.
-  return ParallelChunkCount(n, num_threads);
+  if (num_threads == 0) num_threads = HardwareThreads();
+  return std::min(std::max<std::size_t>(num_threads, 1), n);
 }
 
 void ParallelForDynamic(
@@ -584,25 +581,6 @@ void ParallelForDynamic(
   // Unclaimed indices after a trip must surface as an abort, never as a
   // silently-shortened loop.
   PollRunContext(context);
-}
-
-std::size_t ParallelChunkCount(std::size_t n, std::size_t num_threads) {
-  if (num_threads == 0) num_threads = HardwareThreads();
-  return std::min(std::max<std::size_t>(num_threads, 1), n);
-}
-
-void ParallelForChunks(
-    std::size_t n, std::size_t num_threads,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-    const RunContext* context) {
-  const std::size_t k = ParallelChunkCount(n, num_threads);
-  if (k == 0) return;
-  ParallelFor(
-      k, num_threads,
-      [&body, n, k](std::size_t chunk) {
-        body(chunk, chunk * n / k, (chunk + 1) * n / k);
-      },
-      context);
 }
 
 }  // namespace ufim

@@ -246,25 +246,6 @@ void ParallelFor(std::size_t n, std::size_t num_threads,
                  const std::function<void(std::size_t)>& body,
                  const RunContext* context = nullptr);
 
-/// Number of chunks `ParallelForChunks` decomposes [0, n) into:
-/// min(num_threads, n), with num_threads == 0 meaning HardwareThreads().
-/// Callers size per-chunk scratch with this.
-std::size_t ParallelChunkCount(std::size_t n, std::size_t num_threads);
-
-/// Chunk-granular ParallelFor: partitions [0, n) into
-/// `ParallelChunkCount(n, num_threads)` contiguous chunks (chunk c
-/// covers [c*n/k, (c+1)*n/k), the same decomposition ParallelFor uses
-/// internally) and runs body(chunk, lo, hi) once per chunk — the shape
-/// for workers that carry per-chunk scratch across a contiguous range
-/// of items. This is the single home of the boundary math that the
-/// bit-identical-results arguments lean on; per-item results must not
-/// depend on the chunking.
-void ParallelForChunks(
-    std::size_t n, std::size_t num_threads,
-    const std::function<void(std::size_t chunk, std::size_t lo,
-                             std::size_t hi)>& body,
-    const RunContext* context = nullptr);
-
 /// Number of worker slots `ParallelForDynamic` uses for a given (n,
 /// num_threads): min(num_threads, n), with num_threads == 0 meaning
 /// HardwareThreads(). Callers size per-worker scratch with this.

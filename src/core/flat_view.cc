@@ -242,8 +242,14 @@ double FlatView::ItemSquaredSum(ItemId item) const {
 }
 
 double FlatView::ExpectedSupport(const Itemset& itemset) const {
+  // Sums every join product, underflowed +0.0 ones included — the same
+  // Add sequence as candidate evaluation.
   KahanSum sum;
-  for (double p : ContainmentProbabilities(itemset)) sum.Add(p);
+  JoinScratch scratch;
+  JoinPostingsBatched(itemset, scratch, [&sum](const JoinBatch& batch) {
+    for (const double prod : batch.prods) sum.Add(prod);
+    return true;
+  });
   return sum.value();
 }
 
@@ -252,7 +258,11 @@ std::vector<double> FlatView::ContainmentProbabilities(
   std::vector<double> out;
   JoinScratch scratch;
   JoinPostingsBatched(itemset, scratch, [&out](const JoinBatch& batch) {
-    out.insert(out.end(), batch.prods.begin(), batch.prods.end());
+    // A product that underflowed to +0.0 is not a nonzero containment
+    // probability (the row-oriented contract drops it too).
+    for (const double prod : batch.prods) {
+      if (prod != 0.0) out.push_back(prod);
+    }
     return true;
   });
   return out;

@@ -200,9 +200,9 @@ class FlatView {
   // --- Horizontal layout -------------------------------------------------
 
   /// Units of transaction `t`, ascending by item. Kept as interleaved
-  /// (item, prob) records because every horizontal consumer — the probe
-  /// sweep, the UFP-tree and UH-Struct builders — reads both fields of a
-  /// unit together; the vertical postings below are the split layout.
+  /// (item, prob) records because the horizontal consumer, pair-row
+  /// candidate counting, reads both fields of a unit together; the
+  /// vertical postings below are the split layout.
   /// Transparently reads the delta region for appended transactions.
   std::span<const ProbItem> TransactionUnits(TransactionId t) const {
     CheckNotStale();

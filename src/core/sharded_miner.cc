@@ -34,26 +34,28 @@ void RecountExpectedCandidates(const FlatView& view,
   }
 
   std::vector<std::pair<double, double>> moments(larger.size());
+  // Workers claim one candidate at a time; each join runs whole on one
+  // worker through that worker's scratch, so the moments are the
+  // sequential ones at every thread count.
   std::vector<JoinScratch> scratches(
-      ParallelChunkCount(larger.size(), num_threads));
-  ParallelForChunks(larger.size(), num_threads, [&](std::size_t chunk,
-                                                    std::size_t lo,
-                                                    std::size_t hi) {
-    JoinScratch& scratch = scratches[chunk];
-    for (std::size_t c = lo; c < hi; ++c) {
-      PollRunContext(context);  // checkpoint: one per recounted candidate
-      KahanSum esup;
-      double sq_sum = 0.0;
-      view.JoinPostingsBatched(larger[c], scratch, [&](const JoinBatch& b) {
-        for (const double prod : b.prods) {
-          esup.Add(prod);
-          sq_sum += prod * prod;
-        }
-        return true;
-      });
-      moments[c] = {esup.value(), sq_sum};
-    }
-  }, context);
+      ParallelWorkerCount(larger.size(), num_threads));
+  ParallelForDynamic(
+      larger.size(), num_threads,
+      [&](std::size_t c, std::size_t worker) {
+        PollRunContext(context);  // checkpoint: one per recounted candidate
+        KahanSum esup;
+        double sq_sum = 0.0;
+        view.JoinPostingsBatched(larger[c], scratches[worker],
+                                 [&](const JoinBatch& b) {
+                                   for (const double prod : b.prods) {
+                                     esup.Add(prod);
+                                     sq_sum += prod * prod;
+                                   }
+                                   return true;
+                                 });
+        moments[c] = {esup.value(), sq_sum};
+      },
+      context);
   for (std::size_t c = 0; c < larger.size(); ++c) {
     if (moments[c].first >= threshold) {
       FrequentItemset fi;

@@ -54,9 +54,10 @@ void RecountExpectedCandidates(const FlatView& view,
 /// recount is partitioned by candidate — so for a fixed shard count the
 /// result is bit-identical across thread counts and across runs. Against
 /// the unsharded run of the same miner, the recount's ascending-tid
-/// posting joins can differ from a probe-sweep accumulation in the final
-/// ulp; the reported itemset set matches unless an expected support sits
-/// exactly on the threshold at that last ulp.
+/// posting joins can differ in the final ulp from an accumulation in
+/// another order (the pattern-growth miners sum over tree paths); the
+/// reported itemset set matches unless an expected support sits exactly
+/// on the threshold at that last ulp.
 ///
 /// Only expected-support tasks are supported: expected support is
 /// additive across shards, which is what makes the local-threshold

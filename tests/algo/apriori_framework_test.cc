@@ -92,6 +92,35 @@ TEST(EvaluateCandidatesTest, DecrementalPruningNeverAffectsFrequentOnes) {
   }
 }
 
+TEST(EvaluateCandidatesTest, UnderflowedProductsStayOutOfProbs) {
+  // Four transactions whose products underflow to +0.0 and one whose
+  // products are normal, padded with transactions of other items. The
+  // pair ({0,3}, pair rows) and the triple (posting join) must each
+  // collect the one nonzero probability, as the row scan does, at every
+  // thread count.
+  std::vector<Transaction> txns(
+      4, Transaction({{0, 1e-200}, {1, 1e-200}, {3, 1e-200}}));
+  txns.push_back(Transaction({{0, 0.5}, {1, 0.5}, {3, 0.5}}));
+  for (int t = 0; t < 40; ++t) {
+    txns.push_back(Transaction({{5, 0.5}, {6, 0.5}, {7, 0.5}, {8, 0.5}}));
+  }
+  const UncertainDatabase db{std::move(txns)};
+  const FlatView view(db);
+  const std::vector<Itemset> cands = {Itemset({0, 3}), Itemset({0, 1, 3})};
+  const auto rows = EvaluateCandidatesRowScan(db, cands, /*collect_probs=*/true);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    const auto stats = EvaluateCandidates(view, cands, /*collect_probs=*/true,
+                                          /*decremental_threshold=*/-1.0,
+                                          threads);
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      EXPECT_EQ(stats[c].probs, rows[c].probs) << cands[c].ToString();
+      EXPECT_EQ(stats[c].probs.size(), 1u) << cands[c].ToString();
+      EXPECT_EQ(stats[c].esup, rows[c].esup) << cands[c].ToString();
+      EXPECT_EQ(stats[c].sq_sum, rows[c].sq_sum) << cands[c].ToString();
+    }
+  }
+}
+
 TEST(MineAprioriGenericTest, ThresholdPredicateFindsPaperExample) {
   UncertainDatabase db = MakePaperTable1();
   AprioriCallbacks cb;

@@ -121,6 +121,27 @@ TEST(FlatViewTest, ContainmentProbabilitiesMatchScanOnRandomizedDatabases) {
   }
 }
 
+TEST(FlatViewTest, UnderflowedProductsAreNotContainmentProbabilities) {
+  // Four transactions whose products underflow to +0.0 and one whose
+  // products are normal: only the normal ones are (nonzero) containment
+  // probabilities, exactly as in the row-oriented database.
+  std::vector<Transaction> txns(
+      4, Transaction({{0, 1e-200}, {1, 1e-200}, {3, 1e-200}}));
+  txns.push_back(Transaction({{0, 0.5}, {1, 0.5}, {3, 0.5}}));
+  const UncertainDatabase db{std::move(txns)};
+  const FlatView view(db);
+  EXPECT_EQ(view.ContainmentProbabilities(Itemset({0, 1})),
+            std::vector<double>{0.25});
+  EXPECT_EQ(view.ContainmentProbabilities(Itemset({0, 1, 3})),
+            std::vector<double>{0.125});
+  for (const Itemset& itemset : {Itemset({0, 1}), Itemset({0, 3}),
+                                 Itemset({0, 1, 3})}) {
+    EXPECT_EQ(view.ContainmentProbabilities(itemset),
+              db.ContainmentProbabilities(itemset))
+        << itemset.ToString();
+  }
+}
+
 TEST(FlatViewTest, EvaluateCandidatesMatchesRowScanBaseline) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     UncertainDatabase db = MakeRandomDatabase(

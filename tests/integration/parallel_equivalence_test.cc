@@ -3,8 +3,8 @@
 // num_threads = 1 run at any thread count AND under any forced
 // intersection kernel — not approximately equal. The parallel kernels
 // promise deterministic partitioning (posting joins split by candidate,
-// probe sweeps merged in fixed shard order, tail evaluations judged per
-// candidate), and the batch join kernel promises a float evaluation
+// pair rows by first item, tail evaluations judged per candidate), and
+// the batch join kernel promises a float evaluation
 // order independent of how the set intersection was computed (scalar,
 // galloping, or SIMD), so these tests compare doubles with EXPECT_EQ.
 #include <gtest/gtest.h>
