@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "algo/top_k.h"
+#include "core/flat_view.h"
 #include "core/miner_registry.h"
 #include "core/postprocess.h"
 #include "core/result_io.h"
@@ -20,8 +21,11 @@ int main() {
       AssignGaussianProbabilities(MakeGazelleLike(6000, 99), 0.85, 0.05, 100);
   std::printf("Catalog sessions: %zu\n", db.size());
 
+  // Build the columnar index once; every mining call below reads it.
+  const FlatView view(db);
+
   // 1. No threshold in mind? Ask for the strongest itemsets directly.
-  auto top = MineTopKExpected(db, 12);
+  auto top = MineTopKExpected(view, 12);
   if (!top.ok()) {
     std::fprintf(stderr, "%s\n", top.status().ToString().c_str());
     return 1;
@@ -42,7 +46,7 @@ int main() {
   ExpectedSupportParams params;
   params.min_esup = 0.003;
   auto miner = MinerRegistry::Global().Create("UH-Mine");
-  auto all = miner->Mine(db, params);
+  auto all = miner->Mine(view, params);
   if (!all.ok()) return 1;
   MiningResult closed = FilterClosed(*all);
   MiningResult maximal = FilterMaximal(*all);

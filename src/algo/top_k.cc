@@ -155,12 +155,6 @@ Result<MiningResult> MineTopKExpected(const FlatView& view, std::size_t k,
   return result;
 }
 
-Result<MiningResult> MineTopKExpected(const UncertainDatabase& db,
-                                      std::size_t k,
-                                      const RunContext* context) {
-  return MineTopKExpected(FlatView(db), k, context);
-}
-
 Result<MiningResult> TopKMiner::Mine(const FlatView& view,
                                      const MiningTask& task) const {
   const auto* params = std::get_if<TopKParams>(&task);

@@ -20,21 +20,17 @@ namespace ufim {
 /// every tree sized up front from its input's unit count (see UFPTree).
 ///
 /// Mining is task-parallel over the top-level header ranks of the global
-/// tree (each rank's conditional projection chain is an independent
-/// subproblem), and a dominant rank's conditional tree is recursively
-/// split into per-extension child tasks under a work-budget heuristic;
-/// outputs and counters are merged in fixed rank order at every level,
-/// so results are bit-identical at every `num_threads` / `split_budget`.
+/// tree: each rank's conditional projection chain is an independent
+/// subproblem, claimed dynamically and mined whole by one worker.
+/// Outputs and counters are merged in fixed rank order, so results are
+/// bit-identical at every `num_threads`. A dominant rank is not split
+/// further: nested child tasks measured no faster on real cores
+/// (BENCH_pattern_growth.json).
 class UFPGrowth final : public ExpectedSupportMiner {
  public:
   /// `num_threads`: workers for the per-rank mining tasks; 1 (default)
   /// is the sequential baseline, 0 means all hardware threads.
-  /// `split_budget` tunes recursive splitting of dominant conditional
-  /// trees: 0 (default) picks an automatic threshold, 1 disables
-  /// splitting, larger values split more aggressively (a tree splits
-  /// when it holds >= global_nodes / split_budget nodes).
-  explicit UFPGrowth(std::size_t num_threads = 1, std::size_t split_budget = 0)
-      : num_threads_(num_threads), split_budget_(split_budget) {}
+  explicit UFPGrowth(std::size_t num_threads = 1) : num_threads_(num_threads) {}
 
   std::string_view name() const override { return "UFP-growth"; }
 
@@ -44,7 +40,6 @@ class UFPGrowth final : public ExpectedSupportMiner {
 
  private:
   std::size_t num_threads_;
-  std::size_t split_budget_;
 };
 
 }  // namespace ufim

@@ -13,7 +13,7 @@
 namespace ufim {
 
 /// Shared (per Mine call) state for recursive task splitting: the split
-/// policy plus a pool of Scratch instances for split-off child tasks.
+/// threshold plus a pool of Scratch instances for split-off child tasks.
 /// Scratch is expensive relative to a small subtree (three rank-sized
 /// arrays), so children lease a clean instance from the pool and return
 /// it instead of allocating their own; Recurse restores clean state
@@ -75,9 +75,6 @@ UHStructEngine::UHStructEngine(const FlatView& view, Hooks hooks)
   units_ = std::move(projection.units);
 }
 
-UHStructEngine::UHStructEngine(const UncertainDatabase& db, Hooks hooks)
-    : UHStructEngine(FlatView(db), std::move(hooks)) {}
-
 FrequentItemset UHStructEngine::MakeResult(
     const std::vector<std::uint32_t>& prefix_ranks, double esup,
     double sq_sum) const {
@@ -96,7 +93,7 @@ FrequentItemset UHStructEngine::MakeResult(
 
 std::vector<FrequentItemset> UHStructEngine::Mine(
     MiningCounters* counters, std::size_t num_threads,
-    std::size_t split_budget, const RunContext* context) const {
+    const RunContext* context) const {
   std::vector<FrequentItemset> out;
   if (counters != nullptr) ++counters->database_scans;
 
@@ -153,22 +150,17 @@ std::vector<FrequentItemset> UHStructEngine::Mine(
   std::vector<Scratch> scratch(workers, Scratch(n_ranks));
   std::vector<std::vector<FrequentItemset>> per_rank(n_ranks);
   std::vector<MiningCounters> per_rank_counters(n_ranks);
-  // Split policy: 0 = auto (divisor 32, floored so shallow subtrees
-  // never pay the spawn + prefix-copy overhead), 1 = off, B > 1 = split
-  // exactly when a prefix's head table holds >= units / B occurrence
-  // entries (an explicit budget is a request for that aggressiveness,
-  // so no floor).
+  // Split threshold: a prefix whose head table holds >= units / 32
+  // occurrence entries splits, floored so shallow subtrees never pay the
+  // spawn + prefix-copy overhead.
   const std::size_t threads =
       num_threads == 0 ? HardwareThreads() : num_threads;
   MineState state;
   MineState* split = nullptr;
-  if (threads > 1 && split_budget != 1) {
+  if (threads > 1) {
     constexpr std::size_t kMinSplitUnitsFloor = 256;
     state.max_workers = threads;
-    state.min_split_units =
-        split_budget == 0
-            ? std::max(kMinSplitUnitsFloor, units_.size() / 32)
-            : std::max<std::size_t>(1, units_.size() / split_budget);
+    state.min_split_units = std::max(kMinSplitUnitsFloor, units_.size() / 32);
     state.num_ranks = n_ranks;
     split = &state;
   }
@@ -264,14 +256,14 @@ void UHStructEngine::Recurse(std::vector<std::uint32_t>& prefix_ranks,
   }
   for (const Extension& ext : frequent) scratch.slot_of[ext.rank] = UINT32_MAX;
 
-  // Work-budget heuristic: a dominant head table (measured by its total
-  // occurrence-list size, the cost driver of everything below) is worth
-  // splitting its sibling extensions into child tasks; small ones stay
-  // on the serial path. Each child emits into a pre-indexed slot with
-  // its own prefix copy, leased scratch and private counters, and the
-  // merge walks ascending extension order — exactly the serial sibling
-  // loop's emission order — so results and counters are bit-identical
-  // to the serial run at every thread count and budget.
+  // A dominant head table (measured by its total occurrence-list size,
+  // the cost driver of everything below) is worth splitting its sibling
+  // extensions into child tasks; small ones stay on the serial path.
+  // Each child emits into a pre-indexed slot with its own prefix copy,
+  // leased scratch and private counters, and the merge walks ascending
+  // extension order — exactly the serial sibling loop's emission order —
+  // so results and counters are bit-identical to the serial run at every
+  // thread count.
   std::size_t head_units = 0;
   for (const Extension& ext : frequent) head_units += ext.occurrences.size();
   if (state != nullptr && frequent.size() > 1 &&

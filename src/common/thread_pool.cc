@@ -468,61 +468,6 @@ void TaskGroup::Wait() {
 // ---------------------------------------------------------------------------
 // Parallel loop helpers.
 
-void ParallelFor(std::size_t n, std::size_t num_threads,
-                 const std::function<void(std::size_t)>& body,
-                 const RunContext* context) {
-  if (num_threads == 0) num_threads = HardwareThreads();
-  const std::size_t chunks = std::min(num_threads, n);
-  if (chunks <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (context != nullptr && context->aborted()) break;
-      body(i);
-    }
-    PollRunContext(context);
-    return;
-  }
-
-  // Per-chunk error slots: a throwing chunk stops at the bad index, the
-  // other chunks still run whole, and the lowest-numbered failing chunk
-  // is the one rethrown (chunk 0 — the caller's — is the lowest).
-  std::vector<std::exception_ptr> chunk_errors(chunks);
-  TaskGroup group(chunks, context);
-  std::exception_ptr early_error;
-  try {
-    for (std::size_t c = 1; c < chunks; ++c) {
-      const std::size_t lo = c * n / chunks;
-      const std::size_t hi = (c + 1) * n / chunks;
-      group.Spawn([&body, &chunk_errors, context, c, lo, hi] {
-        try {
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (context != nullptr && context->aborted()) break;
-            body(i);
-          }
-        } catch (...) {
-          chunk_errors[c] = std::current_exception();
-        }
-      });
-    }
-    const std::size_t hi0 = n / chunks;
-    for (std::size_t i = 0; i < hi0; ++i) {
-      if (context != nullptr && context->aborted()) break;
-      body(i);
-    }
-  } catch (...) {
-    // Spawn itself (allocation) or the caller's chunk threw; every
-    // spawned chunk still runs to completion below.
-    early_error = std::current_exception();
-  }
-  group.Wait();  // task bodies never throw (errors captured per chunk)
-  if (early_error) std::rethrow_exception(early_error);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    if (chunk_errors[c]) std::rethrow_exception(chunk_errors[c]);
-  }
-  // A tripped context may have made workers skip indices silently; the
-  // poll turns that into an unwind the caller cannot miss.
-  PollRunContext(context);
-}
-
 std::size_t ParallelWorkerCount(std::size_t n, std::size_t num_threads) {
   if (num_threads == 0) num_threads = HardwareThreads();
   return std::min(std::max<std::size_t>(num_threads, 1), n);

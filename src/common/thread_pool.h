@@ -129,8 +129,8 @@ class ThreadPool {
 
   /// The process-wide pool, sized to HardwareThreads(), created on first
   /// use and kept alive for the process lifetime. All `TaskGroup` /
-  /// `ParallelFor` calls share it; per-call `num_threads` caps how many
-  /// of its workers one call occupies.
+  /// `ParallelForDynamic` calls share it; per-call `num_threads` caps how
+  /// many of its workers one call occupies.
   static ThreadPool& Global();
 
   /// True when the calling thread is a worker of any ThreadPool.
@@ -217,46 +217,18 @@ class TaskGroup {
   std::shared_ptr<internal::TaskGroupImpl> impl_;
 };
 
-/// Runs body(i) for every i in [0, n), partitioned into at most
-/// `num_threads` contiguous chunks (chunk c covers [c*n/k, (c+1)*n/k)).
-/// The calling thread executes the first chunk itself and helps run the
-/// rest while waiting (work-stealing TaskGroup underneath). Blocks until
-/// every index completed.
-///
-/// Determinism: the chunk decomposition is a pure function of (n,
-/// num_threads), every index is executed by exactly one thread, and each
-/// chunk runs whole on one thread, so any per-index or per-chunk state is
-/// computed exactly as in the serial loop. The parallel counting kernels
-/// get bit-identical results by partitioning work so that no
-/// floating-point reduction crosses a chunk boundary.
-///
-/// num_threads == 0 means HardwareThreads(); num_threads <= 1 or n <= 1
-/// runs the plain serial loop. Nested calls (from inside pool tasks) are
-/// real parallel fork-joins, not serial fallbacks.
-///
-/// If one or more bodies throw, the remaining chunks still run to
-/// completion and the exception of the lowest-numbered failing chunk is
-/// rethrown in the caller.
-///
-/// When `context` is non-null, workers poll it between indices and stop
-/// starting new ones once it trips; the call then unwinds with
-/// `RunAbortedError` (after draining in-flight bodies), so a cancelled
-/// loop can never be mistaken for a completed one.
-void ParallelFor(std::size_t n, std::size_t num_threads,
-                 const std::function<void(std::size_t)>& body,
-                 const RunContext* context = nullptr);
-
 /// Number of worker slots `ParallelForDynamic` uses for a given (n,
 /// num_threads): min(num_threads, n), with num_threads == 0 meaning
 /// HardwareThreads(). Callers size per-worker scratch with this.
 std::size_t ParallelWorkerCount(std::size_t n, std::size_t num_threads);
 
-/// Dynamically-scheduled counterpart of ParallelFor for *skewed*
-/// workloads: runs body(i, worker) for every i in [0, n), with indices
-/// claimed one at a time from a shared atomic cursor by
+/// The parallel loop: runs body(i, worker) for every i in [0, n), with
+/// indices claimed one at a time from a shared atomic cursor by
 /// `ParallelWorkerCount(n, num_threads)` workers (the calling thread is
-/// worker 0). A worker that draws a heavy index no longer stalls a whole
-/// contiguous chunk behind it.
+/// worker 0, and helps run the rest while waiting — work-stealing
+/// TaskGroup underneath). Blocks until every index completed. A worker
+/// that draws a heavy index leaves the remaining indices to the others,
+/// so skewed workloads balance.
 ///
 /// Determinism: every index is executed exactly once, whole, by one
 /// worker. Which worker runs it (and in what real-time order) is

@@ -91,13 +91,6 @@ struct MinerOptions {
   /// TopK and the brute-force oracles still ignore the knob and run
   /// sequentially.
   std::size_t num_threads = 1;
-  /// Pattern-growth miners: recursive task-splitting budget for dominant
-  /// conditional subtrees. 0 (default) = automatic threshold, 1 = never
-  /// split (top-level rank tasks only, PR 4's granularity), larger
-  /// values split more aggressively (a subtree splits when its estimated
-  /// work is >= 1/split_budget of the whole database's). Results are
-  /// bit-identical at every setting.
-  std::size_t split_budget = 0;
   /// UApriori/PDUApriori: enable mid-scan decremental pruning [17, 18].
   bool decremental_pruning = true;
   /// DC: operand size above which the conquer step uses FFT convolution.

@@ -103,8 +103,8 @@ Result<MiningResult> ShardedMiner::Mine(const FlatView& view,
   if (shards <= 1) return inner_->Mine(view, task);
 
   // The driver polls at phase boundaries and inside the recount; the
-  // guard converts those throws (and the context-carrying ParallelFor's
-  // final poll) into a clean Status at this facade.
+  // guard converts those throws (and the context-carrying
+  // ParallelForDynamic's final poll) into a clean Status at this facade.
   return internal::GuardMine([&]() -> Result<MiningResult> {
     PollRunContext(&run_context());  // checkpoint: shard phase entry
 
@@ -116,9 +116,9 @@ Result<MiningResult> ShardedMiner::Mine(const FlatView& view,
     for (std::size_t s = 0; s < shards; ++s) {
       local.push_back(Status::Internal("shard not mined"));
     }
-    ParallelFor(
+    ParallelForDynamic(
         shards, num_threads_,
-        [&](std::size_t s) {
+        [&](std::size_t s, std::size_t /*worker*/) {
           const FlatView shard =
               view.Slice(s * n_txn / shards, (s + 1) * n_txn / shards);
           local[s] = inner_->Mine(shard, task);

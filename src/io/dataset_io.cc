@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace ufim {
@@ -30,11 +31,20 @@ Result<Transaction> ParseTransactionLine(const std::string& line) {
       return Status::InvalidArgument("malformed unit '" + token +
                                      "' (expected item:prob)");
     }
+    // Digits only: strtoull alone would accept a sign ("-1" wraps to the
+    // largest value) and leading whitespace.
+    const bool digits =
+        std::all_of(token.begin(), token.begin() + colon,
+                    [](char c) { return c >= '0' && c <= '9'; });
     errno = 0;
     char* end = nullptr;
-    const unsigned long item = std::strtoul(token.c_str(), &end, 10);
-    if (errno != 0 || end != token.c_str() + colon) {
+    const unsigned long long item = std::strtoull(token.c_str(), &end, 10);
+    if (!digits || errno != 0 || end != token.c_str() + colon) {
       return Status::InvalidArgument("malformed item id in '" + token + "'");
+    }
+    if (item > std::numeric_limits<ItemId>::max()) {
+      return Status::InvalidArgument("item id out of range in '" + token +
+                                     "'");
     }
     errno = 0;
     const double prob = std::strtod(token.c_str() + colon + 1, &end);

@@ -10,8 +10,7 @@ namespace ufim {
 namespace {
 
 TEST(CollectItemStatsTest, MatchesPaperTable1) {
-  UncertainDatabase db = MakePaperTable1();
-  auto stats = CollectItemStats(db);
+  auto stats = CollectItemStats(FlatView(MakePaperTable1()));
   ASSERT_EQ(stats.size(), 6u);
   EXPECT_EQ(stats[0].item, kItemA);
   EXPECT_NEAR(stats[0].esup, 2.1, 1e-12);
@@ -50,44 +49,69 @@ TEST(GenerateCandidatesTest, EmptyInput) {
   EXPECT_TRUE(GenerateCandidates({}, nullptr).empty());
 }
 
+/// The columnar evaluator and the row-scan reference, side by side: the
+/// properties below must hold for both.
+using Evaluator = std::vector<CandidateStats> (*)(
+    const UncertainDatabase& db, const std::vector<Itemset>& candidates,
+    bool collect_probs, double decremental_threshold);
+
+std::vector<CandidateStats> EvaluateOnView(
+    const UncertainDatabase& db, const std::vector<Itemset>& candidates,
+    bool collect_probs, double decremental_threshold) {
+  return EvaluateCandidates(FlatView(db), candidates, collect_probs,
+                            decremental_threshold);
+}
+
+constexpr Evaluator kEvaluators[] = {EvaluateOnView,
+                                     EvaluateCandidatesRowScan};
+
 TEST(EvaluateCandidatesTest, MatchesDirectExpectedSupport) {
   UncertainDatabase db = testing_util::MakeRandomDatabase({.seed = 3});
   std::vector<Itemset> cands = {Itemset({0, 1}), Itemset({2, 5}),
                                 Itemset({0, 3, 6})};
-  auto stats = EvaluateCandidates(db, cands, /*collect_probs=*/false);
-  ASSERT_EQ(stats.size(), cands.size());
-  for (std::size_t c = 0; c < cands.size(); ++c) {
-    EXPECT_NEAR(stats[c].esup, db.ExpectedSupport(cands[c]), 1e-9)
-        << cands[c].ToString();
+  for (const Evaluator evaluate : kEvaluators) {
+    auto stats = evaluate(db, cands, /*collect_probs=*/false, -1.0);
+    ASSERT_EQ(stats.size(), cands.size());
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      EXPECT_NEAR(stats[c].esup, db.ExpectedSupport(cands[c]), 1e-9)
+          << cands[c].ToString();
+    }
   }
 }
 
 TEST(EvaluateCandidatesTest, CollectsProbsMatchingDatabase) {
   UncertainDatabase db = testing_util::MakeRandomDatabase({.seed = 4});
   std::vector<Itemset> cands = {Itemset({1, 2})};
-  auto stats = EvaluateCandidates(db, cands, /*collect_probs=*/true);
   auto expected = db.ContainmentProbabilities(cands[0]);
-  ASSERT_EQ(stats[0].probs.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(stats[0].probs[i], expected[i], 1e-12);
+  for (const Evaluator evaluate : kEvaluators) {
+    auto stats = evaluate(db, cands, /*collect_probs=*/true, -1.0);
+    ASSERT_EQ(stats[0].probs.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_NEAR(stats[0].probs[i], expected[i], 1e-12);
+    }
   }
 }
 
 TEST(EvaluateCandidatesTest, DecrementalPruningNeverAffectsFrequentOnes) {
   // With pruning on, candidates that actually reach the threshold must
-  // report their exact esup (deactivation only hits hopeless ones).
+  // report their exact esup (deactivation only hits hopeless ones). The
+  // view evaluator prunes joined (size >= 3) candidates only, so the
+  // triples are the ones it can abandon.
   UncertainDatabase db = testing_util::MakeRandomDatabase(
       {.seed = 5, .num_transactions = 2000, .num_items = 6});
-  std::vector<Itemset> cands = {Itemset({0, 1}), Itemset({4, 5})};
+  std::vector<Itemset> cands = {Itemset({0, 1}), Itemset({4, 5}),
+                                Itemset({0, 1, 2}), Itemset({3, 4, 5})};
   const double threshold = 100.0;
-  auto pruned = EvaluateCandidates(db, cands, false, threshold);
-  auto full = EvaluateCandidates(db, cands, false);
-  for (std::size_t c = 0; c < cands.size(); ++c) {
-    if (full[c].esup >= threshold) {
-      EXPECT_NEAR(pruned[c].esup, full[c].esup, 1e-9);
-    } else {
-      // Deactivated or not, it must still be classified infrequent.
-      EXPECT_LT(pruned[c].esup, threshold);
+  for (const Evaluator evaluate : kEvaluators) {
+    auto pruned = evaluate(db, cands, false, threshold);
+    auto full = evaluate(db, cands, false, -1.0);
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      if (full[c].esup >= threshold) {
+        EXPECT_NEAR(pruned[c].esup, full[c].esup, 1e-9);
+      } else {
+        // Deactivated or not, it must still be classified infrequent.
+        EXPECT_LT(pruned[c].esup, threshold);
+      }
     }
   }
 }
@@ -126,7 +150,7 @@ TEST(MineAprioriGenericTest, ThresholdPredicateFindsPaperExample) {
   AprioriCallbacks cb;
   cb.is_frequent = [&db](double esup, double) { return esup >= 0.5 * db.size(); };
   MiningCounters counters;
-  auto found = MineAprioriGeneric(db, cb, -1.0, &counters);
+  auto found = MineAprioriGeneric(FlatView(db), cb, -1.0, &counters);
   ASSERT_EQ(found.size(), 2u);  // {A}, {C}
   EXPECT_GT(counters.database_scans, 0u);
 }
@@ -141,10 +165,11 @@ TEST(MineProbabilisticAprioriTest, ChernoffCountersMove) {
     return 1.0;
   };
   ProbabilisticLoopOptions loop;
-  MineProbabilisticApriori(db, 30, 0.9, zero_tail, loop, &without_bound);
+  const FlatView view(db);
+  MineProbabilisticApriori(view, 30, 0.9, zero_tail, loop, &without_bound);
   EXPECT_EQ(without_bound.candidates_rejected_bound, 0u);
   loop.use_chernoff = true;
-  MineProbabilisticApriori(db, 30, 0.9, zero_tail, loop, &with_bound);
+  MineProbabilisticApriori(view, 30, 0.9, zero_tail, loop, &with_bound);
   EXPECT_GT(with_bound.candidates_rejected_bound, 0u);
 }
 
@@ -155,12 +180,14 @@ TEST(MineProbabilisticAprioriTest, CascadeRejectsSkipTailEvaluations) {
   // undecided band only around the threshold.
   auto exact_tail = [](const std::vector<double>& probs, std::size_t k,
                        std::size_t) { return PoissonBinomialTailDP(probs, k); };
+  const FlatView view(db);
   MiningCounters off, bounds;
   ProbabilisticLoopOptions loop;
-  auto baseline = MineProbabilisticApriori(db, 60, 0.9, exact_tail, loop, &off);
+  auto baseline =
+      MineProbabilisticApriori(view, 60, 0.9, exact_tail, loop, &off);
   loop.prefilter = PrefilterMode::kBounds;
   auto screened =
-      MineProbabilisticApriori(db, 60, 0.9, exact_tail, loop, &bounds);
+      MineProbabilisticApriori(view, 60, 0.9, exact_tail, loop, &bounds);
 
   // Identical results, fewer exact tails, and the reject/eval split still
   // partitions the candidate count.

@@ -4,6 +4,7 @@
 
 #include "algo/brute_force.h"
 #include "algo/uh_struct.h"
+#include "core/flat_view.h"
 #include "gen/benchmark_datasets.h"
 #include "testing/random_db.h"
 
@@ -58,18 +59,18 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{19, 0.08, 0.5}, SweepCase{20, 0.35, 0.95}));
 
 TEST(UHStructEngineTest, KeepsOnlyPredicateAcceptedItems) {
-  UncertainDatabase db = MakePaperTable1();
+  const FlatView view(MakePaperTable1());
   UHStructEngine::Hooks hooks;
   hooks.is_frequent = [](double esup, double) { return esup >= 2.0; };
-  UHStructEngine engine(db, std::move(hooks));
+  UHStructEngine engine(view, std::move(hooks));
   EXPECT_EQ(engine.num_frequent_items(), 2u);  // A (2.1) and C (2.6)
 }
 
 TEST(UHStructEngineTest, EmptyWhenNothingQualifies) {
-  UncertainDatabase db = MakePaperTable1();
+  const FlatView view(MakePaperTable1());
   UHStructEngine::Hooks hooks;
   hooks.is_frequent = [](double esup, double) { return esup >= 100.0; };
-  UHStructEngine engine(db, std::move(hooks));
+  UHStructEngine engine(view, std::move(hooks));
   EXPECT_EQ(engine.num_frequent_items(), 0u);
   EXPECT_TRUE(engine.Mine(nullptr).empty());
 }

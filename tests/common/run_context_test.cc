@@ -1,9 +1,9 @@
 // RunContext unit coverage: the cancellation token, soft deadline and
 // memory budget (this binary links the alloc hooks), the deterministic
 // checkpoint-fault trigger, Reset-based retry, and the execution-layer
-// contract (TaskGroup / ParallelFor observe a tripped token and the pool
-// stays reusable afterwards). The cross-miner cancellation sweeps live
-// in tests/integration/fault_injection_test.cc.
+// contract (TaskGroup / ParallelForDynamic observe a tripped token and
+// the pool stays reusable afterwards). The cross-miner cancellation
+// sweeps live in tests/integration/fault_injection_test.cc.
 #include "common/run_context.h"
 
 #include <gtest/gtest.h>
@@ -157,14 +157,14 @@ TEST(RunContextTest, ParallelForUnwindsAndThePoolStaysReusable) {
   RunContext ctx;
   ctx.Cancel();
   std::atomic<int> ran{0};
-  auto body = [&](std::size_t) { ran.fetch_add(1); };
-  EXPECT_THROW(ParallelFor(1000, 4, body, &ctx), RunAbortedError);
+  auto body = [&](std::size_t, std::size_t) { ran.fetch_add(1); };
+  EXPECT_THROW(ParallelForDynamic(1000, 4, body, &ctx), RunAbortedError);
   EXPECT_EQ(ran.load(), 0);
   // Same objects, fresh token: the pool and the loop run normally — the
   // cancelled run left nothing behind.
   ctx.AssertQuiescent();  // single-threaded test body: between runs
   ctx.Reset();
-  ParallelFor(1000, 4, body, &ctx);
+  ParallelForDynamic(1000, 4, body, &ctx);
   EXPECT_EQ(ran.load(), 1000);
 }
 

@@ -79,9 +79,10 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (std::size_t threads : {1u, 2u, 5u, 16u}) {
-    constexpr std::size_t kN = 997;  // prime: uneven chunk boundaries
+    constexpr std::size_t kN = 997;  // prime: no even split across workers
     std::vector<std::atomic<int>> hits(kN);
-    ParallelFor(kN, threads, [&hits](std::size_t i) { ++hits[i]; });
+    ParallelForDynamic(kN, threads,
+                       [&hits](std::size_t i, std::size_t) { ++hits[i]; });
     for (std::size_t i = 0; i < kN; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
     }
@@ -90,13 +91,14 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelForTest, HandlesEdgeSizes) {
   int runs = 0;
-  ParallelFor(0, 4, [&runs](std::size_t) { ++runs; });
+  ParallelForDynamic(0, 4, [&runs](std::size_t, std::size_t) { ++runs; });
   EXPECT_EQ(runs, 0);
-  ParallelFor(1, 4, [&runs](std::size_t) { ++runs; });
+  ParallelForDynamic(1, 4, [&runs](std::size_t, std::size_t) { ++runs; });
   EXPECT_EQ(runs, 1);
   // num_threads = 0 means hardware concurrency.
   std::atomic<int> par_runs{0};
-  ParallelFor(10, 0, [&par_runs](std::size_t) { ++par_runs; });
+  ParallelForDynamic(10, 0,
+                     [&par_runs](std::size_t, std::size_t) { ++par_runs; });
   EXPECT_EQ(par_runs.load(), 10);
 }
 
@@ -105,7 +107,8 @@ TEST(ParallelForTest, ReusableAcrossManyRounds) {
   // pool must neither leak tasks nor lose indices.
   for (int round = 0; round < 50; ++round) {
     std::atomic<std::size_t> sum{0};
-    ParallelFor(100, 4, [&sum](std::size_t i) { sum += i; });
+    ParallelForDynamic(100, 4,
+                       [&sum](std::size_t i, std::size_t) { sum += i; });
     EXPECT_EQ(sum.load(), 4950u) << "round " << round;
   }
 }
@@ -113,39 +116,32 @@ TEST(ParallelForTest, ReusableAcrossManyRounds) {
 TEST(ParallelForTest, ExceptionPropagatesAfterAllChunksFinish) {
   std::vector<std::atomic<int>> ran(100);
   auto run = [&ran] {
-    ParallelFor(100, 4, [&ran](std::size_t i) {
+    ParallelForDynamic(100, 4, [&ran](std::size_t i, std::size_t) {
       ++ran[i];
       if (i == 37) throw std::invalid_argument("bad index");
     });
   };
   EXPECT_THROW(run(), std::invalid_argument);
-  // The throwing chunk stops at the bad index; every *other* chunk runs
-  // to completion (the caller blocks until all chunks finished, so no
-  // worker can touch the shared state after the rethrow). Chunk c of 4
-  // covers [c*100/4, (c+1)*100/4): index 37 lives in [25, 50).
+  // Indices are claimed one at a time, so a throw ends only its own index:
+  // every index runs once, and the caller blocks until all have finished,
+  // so no worker can touch the shared state after the rethrow.
   for (std::size_t i = 0; i < 100; ++i) {
-    if (i < 25 || i >= 50) {
-      EXPECT_EQ(ran[i].load(), 1) << i;
-    } else if (i <= 37) {
-      EXPECT_EQ(ran[i].load(), 1) << i;
-    } else {
-      EXPECT_EQ(ran[i].load(), 0) << i;
-    }
+    EXPECT_EQ(ran[i].load(), 1) << i;
   }
   // The global pool survives for later calls.
   std::atomic<int> after{0};
-  ParallelFor(10, 4, [&after](std::size_t) { ++after; });
+  ParallelForDynamic(10, 4, [&after](std::size_t, std::size_t) { ++after; });
   EXPECT_EQ(after.load(), 10);
 }
 
 TEST(ParallelForTest, NestedParallelForRunsParallelAndCompletes) {
-  // A body that itself calls ParallelFor: the inner call forks a real
-  // nested task group (work-stealing scheduler; nothing in the pool
-  // sleeps waiting on another task) instead of deadlocking on a
-  // saturated pool or degrading to serial.
+  // A body that itself calls ParallelForDynamic: the inner call forks a
+  // real nested task group (work-stealing scheduler; nothing in the pool
+  // sleeps waiting on another task) instead of deadlocking on a saturated
+  // pool or degrading to serial.
   std::vector<std::atomic<int>> hits(64);
-  ParallelFor(8, 4, [&hits](std::size_t outer) {
-    ParallelFor(8, 4, [&hits, outer](std::size_t inner) {
+  ParallelForDynamic(8, 4, [&hits](std::size_t outer, std::size_t) {
+    ParallelForDynamic(8, 4, [&hits, outer](std::size_t inner, std::size_t) {
       ++hits[outer * 8 + inner];
     });
   });
@@ -215,8 +211,8 @@ TEST(ParallelForDynamicTest, LowestFailingIndexExceptionWinsAndAllRun) {
       if (i == 73) throw std::out_of_range("73 failed");
     });
   };
-  // Unlike ParallelFor's chunked semantics, every index is attempted;
-  // the exception of the lowest failing index is the one rethrown.
+  // Every index is attempted, the exception of the lowest failing index
+  // is the one rethrown, and the global pool survives for later calls.
   EXPECT_THROW(run(), std::invalid_argument);
   for (std::size_t i = 0; i < 100; ++i) {
     EXPECT_EQ(ran[i].load(), 1) << i;
@@ -373,22 +369,6 @@ TEST(TaskGroupTest, StressNestedSpawnAndSteal) {
     // other 24 spawn one same-group task (+1000 each).
     EXPECT_EQ(sum.load(), 496u + 8 * 4 + 24 * 1000) << "round " << round;
   }
-}
-
-TEST(ParallelForTest, ChunkingIsContiguous) {
-  // Each index is executed by exactly one thread and chunks are
-  // contiguous: record the executing thread per index and check that
-  // equal-thread runs form intervals.
-  constexpr std::size_t kN = 256;
-  std::vector<std::thread::id> owner(kN);
-  ParallelFor(kN, 4, [&owner](std::size_t i) {
-    owner[i] = std::this_thread::get_id();
-  });
-  std::size_t switches = 0;
-  for (std::size_t i = 1; i < kN; ++i) {
-    if (owner[i] != owner[i - 1]) ++switches;
-  }
-  EXPECT_LE(switches, 3u);  // at most num_chunks - 1 boundaries
 }
 
 }  // namespace

@@ -27,6 +27,7 @@ namespace ufim {
 namespace {
 
 using testing_util::CountCheckpoints;
+using testing_util::CountMinerCheckpoints;
 using testing_util::FaultSchedule;
 using testing_util::MakeRandomDatabase;
 using testing_util::MakeStreamBatch;
@@ -144,10 +145,12 @@ TEST(FaultInjectionTest, EveryRegisteredMinerSurvivesCancellation) {
   }
 }
 
-// The pattern-growth miners only split dominant subtrees into stealable
-// tasks on larger inputs; this case forces real recursion depth and an
-// aggressive split budget so cancellation lands *inside* the
-// work-stealing task groups, not just at top-level ranks.
+// UH-Struct only splits dominant subtrees into stealable tasks on larger
+// inputs; this case forces real recursion depth so cancellation lands
+// *inside* the work-stealing task groups, not just at top-level ranks.
+// Each split polls once more after its nested Wait, so UH-Mine's exact
+// checkpoint count at 8 threads exceeding its serial count proves the
+// split path ran on this input.
 TEST(FaultInjectionTest, PatternGrowthSplitTasksSurviveCancellation) {
   const UncertainDatabase db = MakeRandomDatabase({.seed = 82,
                                                    .num_transactions = 180,
@@ -161,7 +164,6 @@ TEST(FaultInjectionTest, PatternGrowthSplitTasksSurviveCancellation) {
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
       MinerOptions options;
       options.num_threads = threads;
-      options.split_budget = 64;  // aggressive: many stealable subtrees
       const RunContext ctx = options.run_context;
       std::unique_ptr<Miner> miner = MinerRegistry::Global().Create(name,
                                                                     options);
@@ -171,6 +173,10 @@ TEST(FaultInjectionTest, PatternGrowthSplitTasksSurviveCancellation) {
           std::string("split/") + name + "@" + std::to_string(threads));
     }
   }
+  const MiningTask task(params);
+  EXPECT_GT(CountMinerCheckpoints("UH-Mine", 8, view, task),
+            CountMinerCheckpoints("UH-Mine", 1, view, task))
+      << "UH-Mine split no dominant subtree at 8 threads";
 }
 
 // ShardedMiner is not registry-listed (it wraps another miner), so the

@@ -22,6 +22,7 @@
 #include "core/simd_intersect.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
+#include "testing/fault_injection.h"
 #include "testing/random_db.h"
 
 namespace ufim {
@@ -249,18 +250,21 @@ UncertainDatabase MakeDominantChainDatabase(std::size_t num_transactions,
   return UncertainDatabase(std::move(txns));
 }
 
-/// The recursive split matrix of ISSUE 7: on the dominant-chain
-/// database, every pattern-growth miner must be bit-identical to its
-/// serial scalar baseline across {1,2,8} threads × {scalar, gallop,
-/// simd} × split budgets {off (1), auto (0), aggressive (64)} — results
+/// The recursive split matrix: on the dominant-chain database, every
+/// pattern-growth miner must be bit-identical to its serial scalar
+/// baseline across {1,2,8} threads × {scalar, gallop, simd} — results
 /// and counters both, since splitting may only change *where* a subtree
-/// is mined, never what is evaluated.
+/// is mined, never what is evaluated. The UH-Struct miners must also
+/// actually split here: each split polls once more after its nested
+/// Wait, so their exact checkpoint count at 8 threads exceeds the
+/// serial run's.
 TEST(ParallelEquivalenceTest, PatternGrowthSplitBudgetsOnDominantRank) {
   const UncertainDatabase db = MakeDominantChainDatabase(320, 16);
   FlatView view(db);
   struct Case {
     const char* name;
     MiningTask task;
+    bool splits;  ///< mined by UHStructEngine, which splits dominant heads
   };
   ExpectedSupportParams esup_params;
   esup_params.min_esup = 0.05;
@@ -268,18 +272,16 @@ TEST(ParallelEquivalenceTest, PatternGrowthSplitBudgetsOnDominantRank) {
   prob_params.min_sup = 0.08;
   prob_params.pft = 0.5;
   const Case cases[] = {
-      {"UFP-growth", esup_params},
-      {"UH-Mine", esup_params},
-      {"NDUH-Mine", prob_params},
+      {"UFP-growth", esup_params, false},
+      {"UH-Mine", esup_params, true},
+      {"NDUH-Mine", prob_params, true},
   };
-  constexpr std::size_t kBudgets[] = {1, 0, 64};  // off, auto, aggressive
   for (const Case& c : cases) {
     Result<MiningResult> baseline = Status::Internal("not run");
     {
       ScopedKernel forced(IntersectKernel::kScalar);
       MinerOptions options;
       options.num_threads = 1;
-      options.split_budget = 1;  // serial, splitting off
       baseline =
           MinerRegistry::Global().Create(c.name, options)->Mine(view, c.task);
     }
@@ -290,27 +292,27 @@ TEST(ParallelEquivalenceTest, PatternGrowthSplitBudgetsOnDominantRank) {
       ScopedKernel forced(kernel);
       for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                                   std::size_t{8}}) {
-        for (std::size_t budget : kBudgets) {
-          MinerOptions options;
-          options.num_threads = threads;
-          options.split_budget = budget;
-          auto run =
-              MinerRegistry::Global().Create(c.name, options)->Mine(view,
-                                                                    c.task);
-          ASSERT_TRUE(run.ok()) << c.name;
-          const std::string label = std::string("dominant/") + c.name + "@" +
-                                    std::to_string(threads) + "/b" +
-                                    std::to_string(budget) + "/" +
-                                    IntersectKernelName(kernel);
-          ExpectIdentical(run.value(), baseline.value(), label);
-          EXPECT_EQ(run->counters().candidates_generated,
-                    baseline->counters().candidates_generated)
-              << label;
-          EXPECT_EQ(run->counters().database_scans,
-                    baseline->counters().database_scans)
-              << label;
-        }
+        MinerOptions options;
+        options.num_threads = threads;
+        auto run =
+            MinerRegistry::Global().Create(c.name, options)->Mine(view, c.task);
+        ASSERT_TRUE(run.ok()) << c.name;
+        const std::string label = std::string("dominant/") + c.name + "@" +
+                                  std::to_string(threads) + "/" +
+                                  IntersectKernelName(kernel);
+        ExpectIdentical(run.value(), baseline.value(), label);
+        EXPECT_EQ(run->counters().candidates_generated,
+                  baseline->counters().candidates_generated)
+            << label;
+        EXPECT_EQ(run->counters().database_scans,
+                  baseline->counters().database_scans)
+            << label;
       }
+    }
+    if (c.splits) {
+      EXPECT_GT(testing_util::CountMinerCheckpoints(c.name, 8, view, c.task),
+                testing_util::CountMinerCheckpoints(c.name, 1, view, c.task))
+          << c.name << ": no dominant subtree split at 8 threads";
     }
   }
 }

@@ -38,6 +38,19 @@ TEST_F(DatasetIoTest, ParseRejectsMalformedUnits) {
   EXPECT_FALSE(ParseTransactionLine("1:0.5 1:0.9").ok());
 }
 
+TEST_F(DatasetIoTest, ParseRejectsSignedAndOutOfRangeItemIds) {
+  // Ids must be plain digits within ItemId's range: a cast would turn
+  // 2^32 into item 0, and strtoull alone reads "-1" as the largest
+  // value and "+7" as 7.
+  EXPECT_FALSE(ParseTransactionLine("4294967296:0.25").ok());
+  EXPECT_FALSE(ParseTransactionLine("-1:0.5").ok());
+  EXPECT_FALSE(ParseTransactionLine("+7:0.5").ok());
+  EXPECT_FALSE(ParseTransactionLine("99999999999999999999999:0.5").ok());
+  Result<Transaction> largest = ParseTransactionLine("4294967295:0.5");
+  ASSERT_TRUE(largest.ok());
+  EXPECT_EQ((*largest)[0].item, 4294967295u);
+}
+
 TEST_F(DatasetIoTest, ParseNamesTheRepeatedItem) {
   Result<Transaction> parsed = ParseTransactionLine("3:0.2 1:0.5 1:0.9");
   ASSERT_FALSE(parsed.ok());

@@ -1,4 +1,4 @@
-// Violating fixture: fans work out through ParallelFor but never polls
+// Violating fixture: fans work out through ParallelForDynamic but never polls
 // a RunContext (lint path: src/algo/example.cc) — cancellation and
 // deadlines cannot stop this miner.
 #include <cstddef>
@@ -6,5 +6,5 @@
 #include "common/thread_pool.h"
 
 void CountAll(std::size_t n) {
-  ufim::ParallelFor(n, 4, [](std::size_t) {});
+  ufim::ParallelForDynamic(n, 4, [](std::size_t, std::size_t) {});
 }

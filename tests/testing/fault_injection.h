@@ -5,12 +5,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/rng.h"
 #include "common/run_context.h"
+#include "core/flat_view.h"
+#include "core/miner_registry.h"
 
 namespace ufim::testing_util {
 
@@ -39,6 +44,22 @@ std::uint64_t CountCheckpoints(const RunContext& ctx, Fn&& work) {
   const std::uint64_t total = ctx.checkpoints();
   ctx.Reset();
   return total;
+}
+
+/// Exact checkpoint count of one run of registry miner `name` at
+/// `threads` workers. A UH-Struct split polls once more after its
+/// nested Wait, so a count above the serial run's proves a split ran.
+inline std::uint64_t CountMinerCheckpoints(std::string_view name,
+                                           std::size_t threads,
+                                           const FlatView& view,
+                                           const MiningTask& task) {
+  MinerOptions options;
+  options.num_threads = threads;
+  const RunContext ctx = options.run_context;
+  std::unique_ptr<Miner> miner =
+      MinerRegistry::Global().Create(name, options);
+  return CountCheckpoints(
+      ctx, [&] { EXPECT_TRUE(miner->Mine(view, task).ok()) << name; });
 }
 
 /// Seeded schedule of distinct 1-based fault positions in [1, total]:

@@ -101,7 +101,7 @@ TEST(UfimLintFixtures, RulesAreScopedToLibraryPaths) {
 }
 
 TEST(UfimLint, MissingPollScopedToAlgoOnly) {
-  // ParallelFor without a poll is only a violation for mining code in
+  // ParallelForDynamic without a poll is only a violation for mining code in
   // src/algo — the execution layer itself (src/common) hosts the
   // primitives and would self-flag.
   const std::string content = ReadFixture("missing_poll.bad.cc");

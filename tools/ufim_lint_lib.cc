@@ -198,7 +198,7 @@ void CheckMissingPoll(const PreparedFile& f, std::vector<Diagnostic>* out) {
   }
   if (fans_out && !polls) {
     Emit(f, first_fan_out, "missing-poll",
-         "this mining file fans out via ParallelFor but never polls a "
+         "this mining file fans out via ParallelForDynamic but never polls a "
          "RunContext — cancellation, deadlines and memory budgets "
          "cannot stop it",
          out);
