@@ -4,8 +4,8 @@
 // The miners farm out the top-level header ranks of their global
 // structure (UFP-tree / UH-Struct) as dynamically-scheduled tasks.
 // UH-Mine and NDUH-Mine additionally split a dominant prefix subtree
-// into nested TaskGroup children once its head table crosses a fixed
-// size threshold. Outputs merge in fixed task-index order, so every
+// into the indices of a nested ParallelForDynamic once its head table
+// crosses a fixed size threshold. Outputs merge in fixed task-index order, so every
 // thread count returns bit-identical results (enforced by
 // integration_parallel_equivalence_test; this bench only times it).
 //
@@ -13,8 +13,8 @@
 // host's hardware_concurrency, the active intersection kernel and the
 // run's checkpoint count, so recorded JSON is self-describing: with
 // hardware_concurrency == 1 every multi-thread row measures scheduling
-// overhead only, not speedup, and a split adds one checkpoint (the poll
-// after its nested Wait).
+// overhead only, not speedup, and a split adds one checkpoint (the
+// final poll of its nested loop).
 //
 // Measured on Kosarak-like sparse data (UH-Mine's favorable regime,
 // where pattern growth is competitive with the apriori family), on the

@@ -19,7 +19,7 @@ namespace ufim {
 /// it instead of allocating their own; Recurse restores clean state
 /// before returning, which is exactly the invariant the pool needs.
 struct UHStructEngine::MineState {
-  std::size_t max_workers = 0;      ///< participation cap per nested group
+  std::size_t max_workers = 0;      ///< worker cap of each nested split loop
   std::size_t min_split_units = 0;  ///< head-table units to justify a split
   std::size_t num_ranks = 0;
 
@@ -271,27 +271,23 @@ void UHStructEngine::Recurse(std::vector<std::uint32_t>& prefix_ranks,
     const std::size_t n_ext = frequent.size();
     std::vector<std::vector<FrequentItemset>> child_out(n_ext);
     std::vector<MiningCounters> child_counters(n_ext);
-    TaskGroup group(state->max_workers, context);
-    for (std::size_t e = 0; e < n_ext; ++e) {
-      group.Spawn([this, &frequent, &prefix_ranks, &child_out, &child_counters,
-                   state, context, e] {
-        Extension& ext = frequent[e];
-        std::vector<std::uint32_t> prefix = prefix_ranks;
-        prefix.push_back(ext.rank);
-        std::vector<FrequentItemset>& ext_out = child_out[e];
-        ext_out.push_back(MakeResult(prefix, ext.esup, ext.sq_sum));
-        std::unique_ptr<Scratch> leased = state->AcquireScratch();
-        Recurse(prefix, ext.occurrences, *leased, ext_out, &child_counters[e],
-                state, context);
-        state->ReleaseScratch(std::move(leased));
-        ext.occurrences.clear();
-        ext.occurrences.shrink_to_fit();
-      });
-    }
-    group.Wait();
-    // Wait rethrows from tasks that ran; the poll covers siblings the
-    // tripped token made the group skip outright.
-    PollRunContext(context);
+    ParallelForDynamic(
+        n_ext, state->max_workers,
+        [this, &frequent, &prefix_ranks, &child_out, &child_counters, state,
+         context](std::size_t e, std::size_t) {
+          Extension& ext = frequent[e];
+          std::vector<std::uint32_t> prefix = prefix_ranks;
+          prefix.push_back(ext.rank);
+          std::vector<FrequentItemset>& ext_out = child_out[e];
+          ext_out.push_back(MakeResult(prefix, ext.esup, ext.sq_sum));
+          std::unique_ptr<Scratch> leased = state->AcquireScratch();
+          Recurse(prefix, ext.occurrences, *leased, ext_out,
+                  &child_counters[e], state, context);
+          state->ReleaseScratch(std::move(leased));
+          ext.occurrences.clear();
+          ext.occurrences.shrink_to_fit();
+        },
+        context);
     for (std::size_t e = 0; e < n_ext; ++e) {
       if (counters != nullptr) *counters += child_counters[e];
       out.insert(out.end(), std::make_move_iterator(child_out[e].begin()),

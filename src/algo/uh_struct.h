@@ -65,7 +65,7 @@ class UHStructEngine {
   /// `context` (optional) is polled at every `Recurse` entry — a
   /// scratch-clean point, so a tripped token unwinds with RunAbortedError
   /// without corrupting pooled scratch — and propagated into the nested
-  /// split task groups so cancelled subtrees stop claiming work.
+  /// split loops so cancelled subtrees stop claiming work.
   std::vector<FrequentItemset> Mine(MiningCounters* counters,
                                     std::size_t num_threads = 1,
                                     const RunContext* context = nullptr) const;

@@ -42,10 +42,10 @@ class RunAbortedError : public std::runtime_error {
 ///
 /// Cleanup contract: mining code polls `CheckPoint()` at checkpoint sites
 /// and unwinds via `RunAbortedError`; the facade converts that into a clean
-/// error `Status`. All storage, scratch pools, and the `ThreadPool` stay
-/// valid and reusable — a subsequent run on the same objects with a fresh
-/// (or `Reset()`) context is bit-identical to a run that was never
-/// cancelled.
+/// error `Status`. All storage, scratch pools, and the parallel loop's
+/// helper pool stay valid and reusable — a subsequent run on the same
+/// objects with a fresh (or `Reset()`) context is bit-identical to a run
+/// that was never cancelled.
 class RunContext {
  public:
   RunContext() : state_(std::make_shared<State>()) {}

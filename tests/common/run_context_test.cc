@@ -1,9 +1,9 @@
 // RunContext unit coverage: the cancellation token, soft deadline and
 // memory budget (this binary links the alloc hooks), the deterministic
 // checkpoint-fault trigger, Reset-based retry, and the execution-layer
-// contract (TaskGroup / ParallelForDynamic observe a tripped token and
-// the pool stays reusable afterwards). The cross-miner cancellation
-// sweeps live in tests/integration/fault_injection_test.cc.
+// contract (ParallelForDynamic observes a tripped token and the pool
+// stays reusable afterwards). The cross-miner cancellation sweeps live
+// in tests/integration/fault_injection_test.cc.
 #include "common/run_context.h"
 
 #include <gtest/gtest.h>
@@ -141,14 +141,15 @@ TEST(RunContextTest, PollOrThrowCarriesTheStatus) {
 }
 
 TEST(RunContextTest, TaskGroupSkipsTasksOnceTripped) {
+  // A small group of tasks (8 indices over 2 workers) under a token
+  // tripped before the call: no task runs, and skipped work is never
+  // mistaken for completed work — the call unwinds and the token still
+  // reports the abort.
   RunContext ctx;
   ctx.Cancel();
   std::atomic<int> ran{0};
-  TaskGroup group(2, &ctx);
-  for (int i = 0; i < 8; ++i) group.Spawn([&] { ran.fetch_add(1); });
-  group.Wait();
-  // Skipped work must not be mistaken for completed work: callers poll
-  // after Wait and unwind.
+  auto body = [&](std::size_t, std::size_t) { ran.fetch_add(1); };
+  EXPECT_THROW(ParallelForDynamic(8, 2, body, &ctx), RunAbortedError);
   EXPECT_EQ(ran.load(), 0);
   EXPECT_THROW(PollRunContext(&ctx), RunAbortedError);
 }
@@ -158,6 +159,7 @@ TEST(RunContextTest, ParallelForUnwindsAndThePoolStaysReusable) {
   ctx.Cancel();
   std::atomic<int> ran{0};
   auto body = [&](std::size_t, std::size_t) { ran.fetch_add(1); };
+  // A tripped token skips every unclaimed index: the call unwinds.
   EXPECT_THROW(ParallelForDynamic(1000, 4, body, &ctx), RunAbortedError);
   EXPECT_EQ(ran.load(), 0);
   // Same objects, fresh token: the pool and the loop run normally — the
@@ -166,6 +168,19 @@ TEST(RunContextTest, ParallelForUnwindsAndThePoolStaysReusable) {
   ctx.Reset();
   ParallelForDynamic(1000, 4, body, &ctx);
   EXPECT_EQ(ran.load(), 1000);
+  // A trip mid-loop unwinds too, after the in-flight bodies drain; no
+  // index runs twice.
+  std::vector<std::atomic<int>> hits(1000);
+  auto tripping = [&](std::size_t i, std::size_t) {
+    ++hits[i];
+    if (i == 10) ctx.Cancel();
+  };
+  EXPECT_THROW(ParallelForDynamic(1000, 4, tripping, &ctx), RunAbortedError);
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_LE(hits[i].load(), 1) << i;
+  ctx.AssertQuiescent();
+  ctx.Reset();
+  ParallelForDynamic(1000, 4, body, &ctx);
+  EXPECT_EQ(ran.load(), 2000);
 }
 
 TEST(RunContextTest, CheckPointFastPathStaysCheap) {

@@ -5,77 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <future>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 namespace ufim {
 namespace {
 
 TEST(HardwareThreadsTest, AtLeastOne) { EXPECT_GE(HardwareThreads(), 1u); }
-
-TEST(ThreadPoolTest, SubmitRunsTasksAndFuturesObserveCompletion) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, ZeroRequestedThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  auto f = pool.Submit([] {});
-  f.get();
-}
-
-TEST(ThreadPoolTest, SubmitExceptionSurfacesThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The worker survives the throwing task; the pool is still usable.
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, NestedSubmitFromWorkerCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> inner_runs{0};
-  // A task that submits more tasks into its own pool: the queue accepts
-  // them and nothing in the pool waits on another task, so this cannot
-  // deadlock even with every worker busy.
-  std::vector<std::future<void>> inner;
-  std::mutex mu;
-  pool.Submit([&] {
-      for (int i = 0; i < 8; ++i) {
-        std::lock_guard<std::mutex> lock(mu);
-        inner.push_back(pool.Submit([&inner_runs] { ++inner_runs; }));
-      }
-    }).get();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (auto& f : inner) f.get();
-  }
-  EXPECT_EQ(inner_runs.load(), 8);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { ++counter; });
-    }
-  }  // ~ThreadPool must not abandon queued tasks
-  EXPECT_EQ(counter.load(), 20);
-}
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (std::size_t threads : {1u, 2u, 5u, 16u}) {
@@ -135,10 +71,9 @@ TEST(ParallelForTest, ExceptionPropagatesAfterAllChunksFinish) {
 }
 
 TEST(ParallelForTest, NestedParallelForRunsParallelAndCompletes) {
-  // A body that itself calls ParallelForDynamic: the inner call forks a
-  // real nested task group (work-stealing scheduler; nothing in the pool
-  // sleeps waiting on another task) instead of deadlocking on a saturated
-  // pool or degrading to serial.
+  // A body that itself calls ParallelForDynamic: the inner call posts its
+  // own helpers and waits only for those that started, so it neither
+  // deadlocks on a saturated pool nor degrades to serial.
   std::vector<std::atomic<int>> hits(64);
   ParallelForDynamic(8, 4, [&hits](std::size_t outer, std::size_t) {
     ParallelForDynamic(8, 4, [&hits, outer](std::size_t inner, std::size_t) {
@@ -223,8 +158,7 @@ TEST(ParallelForDynamicTest, LowestFailingIndexExceptionWinsAndAllRun) {
 }
 
 TEST(ParallelForDynamicTest, NestedCallRunsParallelAndCompletes) {
-  // Each nested call forks its own group with a private worker-id space:
-  // ids stay below the nested call's ParallelWorkerCount regardless of
+  // Each nested call has a private worker-id space: ids stay below the nested call's ParallelWorkerCount regardless of
   // which pool threads end up helping.
   const std::size_t nested_workers = ParallelWorkerCount(8, 4);
   std::vector<std::atomic<int>> hits(64);
@@ -240,134 +174,98 @@ TEST(ParallelForDynamicTest, NestedCallRunsParallelAndCompletes) {
   }
 }
 
-TEST(TaskGroupTest, SpawnedTasksAllRunAndStealsCoverEveryIndex) {
-  // Many more tasks than participants: whatever mix of local pops and
-  // steals the scheduler picks, every task must run exactly once.
-  constexpr std::size_t kTasks = 512;
-  std::vector<std::atomic<int>> hits(kTasks);
-  TaskGroup group(8);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    const std::size_t index = group.Spawn([&hits, i] { ++hits[i]; });
-    EXPECT_EQ(index, i);  // spawn indices are sequential
-  }
-  group.Wait();
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(TaskGroupTest, TasksSpawnIntoTheirOwnGroup) {
-  // Tasks fan out by spawning more tasks into the same group; Wait must
-  // cover work spawned after it started draining.
-  std::atomic<int> runs{0};
-  TaskGroup group(4);
-  for (int i = 0; i < 4; ++i) {
-    group.Spawn([&group, &runs] {
-      ++runs;
-      for (int j = 0; j < 8; ++j) {
-        group.Spawn([&runs] { ++runs; });
-      }
-    });
-  }
-  group.Wait();
-  EXPECT_EQ(runs.load(), 4 + 4 * 8);
-}
-
 namespace {
 
-// Recursive fork-join over nested groups: sums [lo, hi) by splitting in
-// half until small. Exercises nested TaskGroup spawn from inside a
-// running task — the shape the miners' recursive splitting uses.
-std::size_t NestedTreeSum(std::size_t lo, std::size_t hi) {
+// Recursive fork-join over nested loops, the shape of UH-Struct's split:
+// a node fans its range out to kFanOut children through a nested
+// ParallelForDynamic, each child writes its own slot, and the node
+// merges the slots in index order. Returns {sum of i, sum of 1/(i+1)}.
+struct TreeSum {
+  std::size_t count = 0;
+  double harmonic = 0.0;
+};
+
+TreeSum NestedTreeSum(std::size_t lo, std::size_t hi, std::size_t threads) {
+  TreeSum out;
   if (hi - lo <= 4) {
-    std::size_t acc = 0;
-    for (std::size_t i = lo; i < hi; ++i) acc += i;
-    return acc;
+    for (std::size_t i = lo; i < hi; ++i) {
+      out.count += i;
+      out.harmonic += 1.0 / static_cast<double>(i + 1);
+    }
+    return out;
   }
-  const std::size_t mid = lo + (hi - lo) / 2;
-  std::size_t left = 0, right = 0;
-  TaskGroup group(4);
-  group.Spawn([&left, lo, mid] { left = NestedTreeSum(lo, mid); });
-  group.Spawn([&right, mid, hi] { right = NestedTreeSum(mid, hi); });
-  group.Wait();
-  return left + right;
+  constexpr std::size_t kFanOut = 3;
+  std::vector<TreeSum> parts(kFanOut);
+  ParallelForDynamic(kFanOut, threads, [&parts, lo, hi, threads](
+                                           std::size_t c, std::size_t) {
+    const std::size_t width = hi - lo;
+    parts[c] = NestedTreeSum(lo + width * c / kFanOut,
+                             lo + width * (c + 1) / kFanOut, threads);
+  });
+  for (const TreeSum& part : parts) {
+    out.count += part.count;
+    out.harmonic += part.harmonic;
+  }
+  return out;
 }
 
 }  // namespace
 
-TEST(TaskGroupTest, NestedGroupsComputeDeterministicValue) {
+TEST(ParallelForDynamicTest, NestedTreeSumIsDeterministic) {
   constexpr std::size_t kN = 1000;
-  EXPECT_EQ(NestedTreeSum(0, kN), kN * (kN - 1) / 2);
-}
-
-TEST(TaskGroupTest, LowestSpawnIndexExceptionWinsAndAllTasksRun) {
-  std::vector<std::atomic<int>> ran(10);
-  TaskGroup group(4);
-  for (std::size_t i = 0; i < 10; ++i) {
-    group.Spawn([&ran, i] {
-      ++ran[i];
-      if (i == 3) throw std::out_of_range("index 3");
-      if (i == 7) throw std::runtime_error("index 7");
-    });
-  }
-  // A throwing task never cancels the others; the exception of the
-  // lowest spawn index is the one rethrown, regardless of which task
-  // happened to fail first in real time.
-  EXPECT_THROW(group.Wait(), std::out_of_range);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(ran[i].load(), 1) << i;
+  const TreeSum serial = NestedTreeSum(0, kN, 1);
+  EXPECT_EQ(serial.count, kN * (kN - 1) / 2);
+  for (std::size_t threads : {2u, 4u, 8u}) {
+    const TreeSum parallel = NestedTreeSum(0, kN, threads);
+    EXPECT_EQ(parallel.count, serial.count) << "threads " << threads;
+    // Fixed merge order: the floating-point sum matches bit for bit.
+    EXPECT_EQ(parallel.harmonic, serial.harmonic) << "threads " << threads;
   }
 }
 
-TEST(TaskGroupTest, ReusableAcrossSpawnWaitPhases) {
-  std::atomic<int> runs{0};
-  TaskGroup group(4);
-  for (int phase = 0; phase < 5; ++phase) {
-    for (int i = 0; i < 16; ++i) {
-      group.Spawn([&runs] { ++runs; });
-    }
-    group.Wait();
-    EXPECT_EQ(runs.load(), (phase + 1) * 16);
-  }
-}
-
-TEST(TaskGroupTest, DestructorWaitsWithoutRethrow) {
-  std::atomic<int> runs{0};
-  {
-    TaskGroup group(4);
-    group.Spawn([&runs] { ++runs; });
-    group.Spawn([] { throw std::runtime_error("never observed"); });
-    group.Spawn([&runs] { ++runs; });
-    // No Wait: the destructor must run every task to completion and
-    // swallow the stored exception.
-  }
-  EXPECT_EQ(runs.load(), 2);
-}
-
-TEST(TaskGroupTest, StressNestedSpawnAndSteal) {
-  // TSan-exercised stress loop: repeated fork-joins with same-group
-  // fan-out and nested child groups, racing local pops against steals.
+TEST(ParallelForDynamicTest, StressNestedLoops) {
+  // TSan-exercised stress loop: repeated outer loops whose bodies run
+  // nested loops of different widths, some of which throw, racing the
+  // helpers of every level for the shared pool.
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::size_t> sum{0};
-    TaskGroup group(8);
-    for (std::size_t i = 0; i < 32; ++i) {
-      group.Spawn([&group, &sum, i] {
-        sum += i;
-        if (i % 4 == 0) {
-          TaskGroup child(2);
-          for (std::size_t j = 0; j < 4; ++j) {
-            child.Spawn([&sum] { sum += 1; });
-          }
-          child.Wait();
-        } else {
-          group.Spawn([&sum] { sum += 1000; });
+    std::atomic<int> caught{0};
+    ParallelForDynamic(32, 8, [&sum, &caught](std::size_t i, std::size_t) {
+      sum += i;
+      if (i % 4 == 0) {
+        ParallelForDynamic(4, 2, [&sum](std::size_t, std::size_t) { sum += 1; });
+      } else if (i % 4 == 1) {
+        try {
+          ParallelForDynamic(3, 8, [&sum](std::size_t j, std::size_t) {
+            sum += 1000;
+            if (j == 1) throw std::runtime_error("nested");
+          });
+        } catch (const std::runtime_error&) {
+          ++caught;
         }
-      });
-    }
-    group.Wait();
-    // 32 tasks summing 0..31, 8 of them spawn 4 nested (+1 each), the
-    // other 24 spawn one same-group task (+1000 each).
-    EXPECT_EQ(sum.load(), 496u + 8 * 4 + 24 * 1000) << "round " << round;
+      } else {
+        ParallelForDynamic(5, 4, [&sum](std::size_t, std::size_t) { sum += 1; });
+      }
+    });
+    // 32 indices summing 0..31; 8 run 4 nested (+1 each), 8 run 3 nested
+    // (+1000 each, one throws), the other 16 run 5 nested (+1 each).
+    EXPECT_EQ(sum.load(), 496u + 8 * 4 + 8 * 3000 + 16 * 5) << "round " << round;
+    EXPECT_EQ(caught.load(), 8) << "round " << round;
+  }
+}
+
+TEST(ParallelForDynamicTest, ChurnOfShortCallsNeverOutlivesTheCaller) {
+  // Thousands of calls (not threads), each with fewer indices than
+  // requested threads: the caller usually claims both indices before its
+  // helper leaves the queue, so most helpers arrive after their call has
+  // returned. Such a helper must see the call closed and leave without
+  // touching the dead frame (cursor, error slots, this body's captures);
+  // ASan's detect_stack_use_after_return and TSan flag one that does.
+  for (int call = 0; call < 5000; ++call) {
+    std::atomic<int> hits[2] = {0, 0};
+    ParallelForDynamic(2, 4, [&hits](std::size_t i, std::size_t) { ++hits[i]; });
+    ASSERT_EQ(hits[0].load(), 1) << "call " << call;
+    ASSERT_EQ(hits[1].load(), 1) << "call " << call;
   }
 }
 

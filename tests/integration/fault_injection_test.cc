@@ -145,10 +145,10 @@ TEST(FaultInjectionTest, EveryRegisteredMinerSurvivesCancellation) {
   }
 }
 
-// UH-Struct only splits dominant subtrees into stealable tasks on larger
-// inputs; this case forces real recursion depth so cancellation lands
-// *inside* the work-stealing task groups, not just at top-level ranks.
-// Each split polls once more after its nested Wait, so UH-Mine's exact
+// UH-Struct only splits dominant subtrees into nested parallel loops on
+// larger inputs; this case forces real recursion depth so cancellation
+// lands *inside* those nested loops, not just at top-level ranks.
+// Each split polls once more when its nested loop ends, so UH-Mine's exact
 // checkpoint count at 8 threads exceeding its serial count proves the
 // split path ran on this input.
 TEST(FaultInjectionTest, PatternGrowthSplitTasksSurviveCancellation) {

@@ -255,9 +255,9 @@ UncertainDatabase MakeDominantChainDatabase(std::size_t num_transactions,
 /// baseline across {1,2,8} threads × {scalar, gallop, simd} — results
 /// and counters both, since splitting may only change *where* a subtree
 /// is mined, never what is evaluated. The UH-Struct miners must also
-/// actually split here: each split polls once more after its nested
-/// Wait, so their exact checkpoint count at 8 threads exceeds the
-/// serial run's.
+/// actually split here: each split polls once more when its nested loop
+/// ends, so their exact checkpoint count at 8 threads exceeds the serial
+/// run's.
 TEST(ParallelEquivalenceTest, PatternGrowthSplitBudgetsOnDominantRank) {
   const UncertainDatabase db = MakeDominantChainDatabase(320, 16);
   FlatView view(db);

@@ -47,8 +47,8 @@ std::uint64_t CountCheckpoints(const RunContext& ctx, Fn&& work) {
 }
 
 /// Exact checkpoint count of one run of registry miner `name` at
-/// `threads` workers. A UH-Struct split polls once more after its
-/// nested Wait, so a count above the serial run's proves a split ran.
+/// `threads` workers. A UH-Struct split polls once more when its nested
+/// loop ends, so a count above the serial run's proves a split ran.
 inline std::uint64_t CountMinerCheckpoints(std::string_view name,
                                            std::size_t threads,
                                            const FlatView& view,
