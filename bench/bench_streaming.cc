@@ -19,16 +19,25 @@
 // base arrays are shared by pointer, so the copy is O(delta +
 // num_items), not O(database).
 //
+// A long-stream row feeds a 100k-transaction Kosarak-like stream (the
+// e2ebench `stream` data shape) in 3000-transaction batches and times
+// MineNext over the five batches that end at stream lengths of 40k, 70k
+// and 100k: the suffix mine costs the same per batch at every length, so
+// any growth with the length is the pool recount's or the compaction's
+// (which copies the whole stream; `window_compactions` counts them).
+//
 // Batch sizes sweep 1x/8x/64x (16, 128, 1024 transactions — i.e. 64,
 // 8, 1 MineNext calls for the same 1024-txn stream), and a separate
 // sweep varies the compaction ratio at a fixed batch size. min_esup is
 // chosen so min_esup * batch stays above one expected occurrence even
 // for the smallest batch (see the DeltaMiner batch-sizing note).
-// Results are recorded in BENCH_streaming.json; on a 1-CPU container
-// the comparison is still meaningful (both sides are single-threaded
-// CPU work), unlike the thread-scaling benches.
+// Results are recorded in BENCH_streaming.json. Every row but the
+// long-stream 4-thread ones is single-threaded CPU work, so those rows
+// compare meaningfully on any core count.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -178,6 +187,59 @@ void BM_Snapshot(benchmark::State& state) {
   benchmark::DoNotOptimize(delta_units);
 }
 
+/// Long stream: mean MineNext ms per batch over the `kLongWindow`
+/// batches ending at stream length `state.range(0)`, at
+/// `state.range(1)` threads. Everything before the window (a 10k warm
+/// prefix, then 3000-txn batches) runs untimed, so the window sees the
+/// pool and compaction state a long-lived stream has at that length.
+void BM_LongStreamMineNext(benchmark::State& state) {
+  constexpr std::size_t kWarm = 10000;
+  constexpr std::size_t kLongBatch = 3000;
+  constexpr std::size_t kLongWindow = 5;
+  static const UncertainDatabase db = KosarakDb(100000);
+  const std::span<const Transaction> all(db.transactions());
+  const std::size_t length = static_cast<std::size_t>(state.range(0));
+  const std::size_t window_start = length - kLongWindow * kLongBatch;
+  ExpectedSupportParams params;
+  params.min_esup = 0.002;
+  MinerOptions options;
+  options.num_threads = static_cast<std::size_t>(state.range(1));
+  std::size_t pool = 0;
+  std::size_t window_compactions = 0;
+  for (auto _ : state) {
+    auto miner = MakeDeltaMiner("UApriori", params, options);
+    if (!miner.ok()) {
+      state.SkipWithError(miner.status().ToString().c_str());
+      break;
+    }
+    const auto feed = [&](std::size_t lo, std::size_t hi) {
+      const bool ok = miner.value()->MineNext(all.subspan(lo, hi - lo)).ok();
+      if (!ok) state.SkipWithError("MineNext failed");
+      return ok;
+    };
+    if (!feed(0, kWarm)) break;
+    for (std::size_t lo = kWarm; lo < window_start; lo += kLongBatch) {
+      if (!feed(lo, std::min(lo + kLongBatch, window_start))) return;
+    }
+    const std::size_t compactions = miner.value()->view().compactions();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t lo = window_start; lo < length; lo += kLongBatch) {
+      if (!feed(lo, lo + kLongBatch)) return;
+    }
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count() /
+        kLongWindow);
+    pool = miner.value()->candidate_pool_size();
+    window_compactions = miner.value()->view().compactions() - compactions;
+  }
+  state.counters["stream_txns"] = static_cast<double>(length);
+  state.counters["threads"] = static_cast<double>(state.range(1));
+  state.counters["pool"] = static_cast<double>(pool);
+  state.counters["window_compactions"] =
+      static_cast<double>(window_compactions);
+}
+
 /// End to end, rebuild baseline: accumulate, rebuild the columnar view,
 /// full mine — once per batch.
 void BM_RebuildMine(benchmark::State& state) {
@@ -217,6 +279,13 @@ BENCHMARK(BM_RebuildMine)->Arg(16)->Arg(128)->Arg(1024)
 // default (25%), lazy (100%), never (<0 sentinel).
 BENCHMARK(BM_StreamingMineNext)
     ->Args({128, 0})->Args({128, 100})->Args({128, -1})
+    ->Unit(benchmark::kMillisecond);
+
+// Long stream: per-batch MineNext at 40k / 70k / 100k transactions.
+BENCHMARK(BM_LongStreamMineNext)
+    ->ArgsProduct({{40000, 70000, 100000}, {1, 4}})
+    ->Iterations(1)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 // Snapshot-handle cost at growing delta sizes (base arrays are shared,

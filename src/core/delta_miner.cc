@@ -68,6 +68,7 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
     StreamingSnapshot snap;
     std::vector<Itemset> singles;
     std::vector<Itemset> larger;
+    std::vector<RecountState> states;  // parallel to `larger`
     {
       // Mutation phase, under the write mutex (serialized with any
       // concurrent explicit Compact). MineNext calls themselves are
@@ -104,9 +105,9 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
         result.counters() += local->counters();
         const std::uint64_t admit_gen = view_.generation();
         for (const FrequentItemset& fi : local->itemsets()) {
-          // emplace keeps the first admission's generation on
-          // re-discovery by a later shard.
-          pool_.emplace(fi.itemset, admit_gen);
+          // emplace keeps the first admission's generation (and the
+          // running moments) on re-discovery by a later shard.
+          pool_.emplace(fi.itemset, PoolEntry{admit_gen, {}});
         }
         mined_upto_ = n_txn;
         ++shards_mined_;
@@ -121,22 +122,35 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
       // Canonical candidate order keeps the recount independent of pool
       // insertion history (and of the unordered_map's iteration order).
       // ufim-lint: allow(unordered-iteration) order erased by the sorts below
-      for (const auto& [is, admitted] : pool_) {
-        static_cast<void>(admitted);
+      for (const auto& [is, entry] : pool_) {
+        static_cast<void>(entry);
         (is.size() == 1 ? singles : larger).push_back(is);
       }
       std::sort(singles.begin(), singles.end());
       std::sort(larger.begin(), larger.end());
+      // The recount advances copies; the saved moments move only once it
+      // has succeeded, so a cancelled or failed recount leaves them as
+      // they were.
+      states.reserve(larger.size());
+      for (const Itemset& is : larger) states.push_back(pool_.at(is).moments);
     }
 
     // Phase 2: exact recount of the whole candidate pool over the
     // frozen snapshot, outside the write mutex — a concurrent explicit
     // Compact cannot perturb it (copy-on-compact leaves the snapshot's
     // storage untouched), and the result is bit-identical either way.
+    // Each pooled candidate joins only the transactions its saved
+    // moments have not covered yet.
     const double threshold =
         params_.min_esup * static_cast<double>(snap.watermark());
     RecountExpectedCandidates(snap.view(), singles, larger, threshold,
-                              num_threads_, result, &run_context_);
+                              num_threads_, result, &run_context_, states);
+    {
+      MutexLock lock(write_mu_);
+      for (std::size_t c = 0; c < larger.size(); ++c) {
+        pool_.at(larger[c]).moments = states[c];
+      }
+    }
     result.SortCanonical();
     return result;
   });
@@ -147,9 +161,9 @@ std::size_t DeltaMiner::candidates_admitted_since(
   MutexLock lock(write_mu_);
   std::size_t n = 0;
   // ufim-lint: allow(unordered-iteration) order-independent count
-  for (const auto& [is, admitted] : pool_) {
+  for (const auto& [is, entry] : pool_) {
     static_cast<void>(is);
-    if (admitted >= generation) ++n;
+    if (entry.admitted >= generation) ++n;
   }
   return n;
 }

@@ -12,6 +12,7 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "core/miner.h"
+#include "core/sharded_miner.h"
 #include "core/streaming_flat_view.h"
 
 namespace ufim {
@@ -35,6 +36,21 @@ namespace ufim {
 /// itemset can be locally frequent long before it is globally frequent,
 /// and dropping it then would lose it forever.
 ///
+/// **Incremental recount.** Expected support and Σp² are sums over
+/// transactions, so each pooled candidate keeps its running moments
+/// (`RecountState`: Kahan state, Σp², the transactions covered, the join
+/// driver used) and a batch joins it only over the transactions appended
+/// since; a newly admitted candidate is counted once over the whole
+/// stream. A batch therefore costs O(batch × pool + newly admitted
+/// candidates × stream), not O(stream × pool). *Driver-reset rule:* a
+/// join's products multiply the driver's (rarest member's) probability
+/// by the others' in member order, so the suffix join uses the full
+/// view's current driver, and a candidate of three or more items whose
+/// driver changed since its moments were saved is recounted from zero.
+/// The moments then equal a full recount's bit for bit. They are saved
+/// only after the recount succeeds, so a failed or cancelled batch
+/// leaves them untouched.
+///
 /// Mining the suffix works pre- and post-compaction alike: the suffix is
 /// a `Slice` of the full view, and slices walk the base/delta segment
 /// lists transparently. Results and counters are bit-identical whatever
@@ -49,8 +65,8 @@ namespace ufim {
 /// explodes combinatorially — the classic SON degenerate regime, shared
 /// with very small `ShardedMiner` shards. Keep batches large enough
 /// that min_esup * batch_size stays comfortably above 1 (a few
-/// occurrences); the recount then dominates and stays linear in the
-/// pool.
+/// occurrences); the pool then stays small and the recount linear in
+/// it.
 class DeltaMiner {
  public:
   /// Wraps `inner` (an expected-support miner; typically registry-made).
@@ -78,6 +94,8 @@ class DeltaMiner {
   /// shard watermark advance only on a successful shard mine, and the
   /// batch commits before the recount, so a recount-phase failure leaves
   /// a consistent committed stream that an empty-batch retry re-mines.
+  /// The pooled candidates' saved moments advance only when the recount
+  /// succeeds; the retry continues them from where they were.
   ///
   /// **Threads.** Calls to MineNext must still be serialized by the
   /// caller (it is the stream's one writer), but the expensive recount
@@ -144,8 +162,13 @@ class DeltaMiner {
   /// Transactions covered by mined suffix shards.
   std::size_t mined_upto_ UFIM_GUARDED_BY(write_mu_) = 0;
   std::size_t shards_mined_ UFIM_GUARDED_BY(write_mu_) = 0;
-  /// Candidate -> storage generation at which the pool admitted it.
-  std::unordered_map<Itemset, std::uint64_t, ItemsetHash> pool_
+  struct PoolEntry {
+    std::uint64_t admitted = 0;  ///< storage generation that admitted it
+    /// Running moments of a size->=2 candidate as of the last successful
+    /// recount (unused for singletons, which read the view's moments).
+    RecountState moments;
+  };
+  std::unordered_map<Itemset, PoolEntry, ItemsetHash> pool_
       UFIM_GUARDED_BY(write_mu_);
 };
 

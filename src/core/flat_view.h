@@ -283,6 +283,17 @@ class FlatView {
   /// identical at every thread count and under every intersect kernel.
   static constexpr std::size_t kJoinBatchTids = 1024;
 
+  /// `JoinPostingsBatched`'s default driver: this view's `JoinDriver`.
+  static constexpr std::size_t kShortestDriver = ~std::size_t{0};
+
+  /// The member index a join of `itemset` over this view drives from:
+  /// the member with the shortest *logical* posting list, first minimal
+  /// index on ties (the physical base/delta segmentation never enters).
+  /// For three or more members the choice decides the float evaluation
+  /// order of every product, so it is part of the result's bits; it can
+  /// change as a stream grows.
+  std::size_t JoinDriver(const Itemset& itemset) const;
+
   /// The shared posting merge-join kernel, batch form. Drives from the
   /// shortest member posting list, `kJoinBatchTids` *logical* postings
   /// at a time (a batch may straddle the base/delta seam — the batch
@@ -300,14 +311,22 @@ class FlatView {
   /// the join — the optimistic-bound hook for decremental pruning: each
   /// unseen driver posting contributes at most 1 to expected support.
   ///
+  /// `driver`, when given, is the member index to drive from instead of
+  /// this view's `JoinDriver`. Each product is the driver's probability
+  /// times the other members' in member order, so a slice joined with
+  /// its full view's driver yields exactly the full join's products for
+  /// the slice's transactions — which is how the streaming recount
+  /// continues a running sum bit for bit over only the new suffix.
+  ///
   /// Every posting-join consumer (candidate evaluation, containment
   /// queries, the sharded/streaming recounts, the brute-force and top-k
   /// searches) routes through this or `JoinWithPostings` so join
   /// semantics can never diverge per miner.
   template <typename BatchSink>
   void JoinPostingsBatched(const Itemset& itemset, JoinScratch& scratch,
-                           BatchSink&& sink) const {
-    if (!BeginJoin(itemset, scratch)) return;
+                           BatchSink&& sink,
+                           std::size_t driver = kShortestDriver) const {
+    if (!BeginJoin(itemset, scratch, driver)) return;
     JoinBatch batch;
     while (NextJoinBatch(scratch, batch)) {
       if (!sink(batch)) return;
@@ -479,10 +498,11 @@ class FlatView {
   /// Units in transactions [0, t) of the storage (t <= full_size).
   std::size_t UnitsBefore(std::size_t t) const;
 
-  /// Sets up `scratch` for a batched join of `itemset` (driver
-  /// selection, member segment cursors). False when the join is
-  /// trivially empty.
-  bool BeginJoin(const Itemset& itemset, JoinScratch& scratch) const;
+  /// Sets up `scratch` for a batched join of `itemset` driven from
+  /// member `driver` (`kShortestDriver`: `JoinDriver`), with the member
+  /// segment cursors. False when the join is trivially empty.
+  bool BeginJoin(const Itemset& itemset, JoinScratch& scratch,
+                 std::size_t driver) const;
 
   /// Runs one driver batch of a join started by `BeginJoin`: intersect
   /// against each member's segments, fold probabilities, advance member

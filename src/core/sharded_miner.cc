@@ -15,8 +15,8 @@ void RecountExpectedCandidates(const FlatView& view,
                                const std::vector<Itemset>& singles,
                                const std::vector<Itemset>& larger,
                                double threshold, std::size_t num_threads,
-                               MiningResult& result,
-                               const RunContext* context) {
+                               MiningResult& result, const RunContext* context,
+                               std::span<RecountState> states) {
   PollRunContext(context);  // checkpoint: recount phase entry
   ++result.counters().database_scans;
   result.counters().candidates_generated += singles.size() + larger.size();
@@ -33,6 +33,7 @@ void RecountExpectedCandidates(const FlatView& view,
     }
   }
 
+  const std::size_t n_txn = view.num_transactions();
   std::vector<std::pair<double, double>> moments(larger.size());
   // Workers claim one candidate at a time; each join runs whole on one
   // worker through that worker's scratch, so the moments are the
@@ -43,17 +44,24 @@ void RecountExpectedCandidates(const FlatView& view,
       larger.size(), num_threads,
       [&](std::size_t c, std::size_t worker) {
         PollRunContext(context);  // checkpoint: one per recounted candidate
-        KahanSum esup;
-        double sq_sum = 0.0;
-        view.JoinPostingsBatched(larger[c], scratches[worker],
-                                 [&](const JoinBatch& b) {
-                                   for (const double prod : b.prods) {
-                                     esup.Add(prod);
-                                     sq_sum += prod * prod;
-                                   }
-                                   return true;
-                                 });
-        moments[c] = {esup.value(), sq_sum};
+        RecountState fresh;
+        RecountState& st = states.empty() ? fresh : states[c];
+        const std::size_t driver = view.JoinDriver(larger[c]);
+        if (driver != st.driver && larger[c].size() > 2) st = RecountState{};
+        st.driver = driver;
+        view.Slice(st.counted_upto, n_txn)
+            .JoinPostingsBatched(
+                larger[c], scratches[worker],
+                [&](const JoinBatch& b) {
+                  for (const double prod : b.prods) {
+                    st.esup.Add(prod);
+                    st.sq_sum += prod * prod;
+                  }
+                  return true;
+                },
+                driver);
+        st.counted_upto = n_txn;
+        moments[c] = {st.esup.value(), st.sq_sum};
       },
       context);
   for (std::size_t c = 0; c < larger.size(); ++c) {

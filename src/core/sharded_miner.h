@@ -3,14 +3,30 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/thread_annotations.h"
 #include "core/miner.h"
 
 namespace ufim {
+
+/// One size->=2 candidate's running recount: its expected-support Kahan
+/// state and plain Σp² over the first `counted_upto` transactions of the
+/// view it was counted on, and the join driver (`FlatView::JoinDriver`
+/// member index) that produced them. A default state has counted
+/// nothing. The recount continues it over the view's newer transactions
+/// only; its whole state is these fields, so carrying it forward by
+/// value gives exactly the bits of a recount from scratch.
+struct RecountState {
+  KahanSum esup;
+  double sq_sum = 0.0;
+  std::size_t counted_upto = 0;
+  std::size_t driver = 0;
+};
 
 /// Phase 2 of the SON (partition) drivers: exact recount of a candidate
 /// union over the full view. `singles` and `larger` are canonically
@@ -26,12 +42,25 @@ namespace ufim {
 /// is polled once per size->=2 candidate join; a tripped token unwinds
 /// with RunAbortedError, which the calling miner's guarded facade
 /// converts to a Status.
+///
+/// `states`, when non-empty, holds one running state per `larger`
+/// candidate (parallel to it), each counted over a prefix of this same
+/// growing stream (`counted_upto` <= the view's size). A candidate then
+/// joins only the view's transactions past `counted_upto`, driven from
+/// the full view's current driver, and its state is advanced in place to
+/// cover the whole view. If that driver differs from the state's and the
+/// candidate has three or more items, the product order has changed, so
+/// the state restarts from zero (a pair's single multiplication commutes
+/// and never restarts). The moments equal an empty-`states` recount's
+/// bit for bit. On a throw the states may be partly advanced; callers
+/// pass a copy and keep it only on success.
 void RecountExpectedCandidates(const FlatView& view,
                                const std::vector<Itemset>& singles,
                                const std::vector<Itemset>& larger,
                                double threshold, std::size_t num_threads,
                                MiningResult& result,
-                               const RunContext* context = nullptr);
+                               const RunContext* context = nullptr,
+                               std::span<RecountState> states = {});
 
 /// Shard-partitioned execution driver: runs any expected-support miner
 /// per contiguous transaction shard and merges to the *exact* global

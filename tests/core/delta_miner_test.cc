@@ -1,8 +1,9 @@
 // DeltaMiner unit coverage: SON-over-suffix-shards exactness against the
 // plain miners, candidate-pool retention across batches (the property a
-// results-only union would break), facade/registry plumbing, and the
-// empty-batch / empty-stream degenerate calls. The randomized
-// cross-layout schedules live in the streaming differential harness.
+// results-only union would break), the incremental recount's join-driver
+// restart, facade/registry plumbing, and the empty-batch / empty-stream
+// degenerate calls. The randomized cross-layout schedules live in the
+// streaming differential harness.
 #include "core/delta_miner.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
 #include "core/mining_result.h"
+#include "core/sharded_miner.h"
 #include "testing/random_db.h"
 
 namespace ufim {
@@ -114,6 +116,71 @@ TEST(DeltaMinerTest, PoolRetainsDilutedCandidatesAcrossBatches) {
   ASSERT_NE(fi, nullptr);
   // Exact recount over all eleven transactions.
   EXPECT_NEAR(fi->expected_support, 0.81 + 0.64 + 5 * (0.95 * 0.95), 1e-12);
+}
+
+TEST(DeltaMinerTest, DriverFlipRestartsTheRunningMoments) {
+  // The join of {a, b, c} drives from its rarest member, and each product
+  // is the driver's probability times the others' in member order: c
+  // drives as (c*a)*b while c is rarest, a drives as (a*b)*c once c has
+  // become the most common — and at (0.2, 0.3, 0.9) the two orders differ
+  // in the last bit. So the moments carried over from batch 1 (driven by
+  // c) must be dropped when batch 2 makes a the driver; continuing them
+  // would mix products of both orders, which a full recount never does.
+  // Batch 3 keeps a as the driver and continues the moments.
+  constexpr double kA = 0.2;
+  constexpr double kB = 0.3;
+  constexpr double kC = 0.9;
+  ASSERT_NE((kC * kA) * kB, (kA * kB) * kC) << "the orders must differ";
+  const Transaction abc = Txn({{0, kA}, {1, kB}, {2, kC}});
+  const Transaction ab = Txn({{0, kA}, {1, kB}});
+  const Transaction c = Txn({{2, kC}});
+  const std::vector<std::vector<Transaction>> batches = {
+      {abc, abc, abc, abc, ab, ab, ab, ab},                 // c rarest
+      {abc, abc, abc, abc, c, c, c, c, c, c, c, c},         // now a
+      {abc, abc, abc, abc}};                                // a again
+  const Itemset triple{0, 1, 2};
+  ExpectedSupportParams params;
+  params.min_esup = 0.02;
+
+  for (const std::size_t threads : {1, 2, 8}) {
+    MinerOptions options;
+    options.num_threads = threads;
+    Result<std::unique_ptr<DeltaMiner>> delta =
+        MakeDeltaMiner("UApriori", params, options);
+    ASSERT_TRUE(delta.ok());
+    const std::size_t expected_driver[] = {2, 0, 0};
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const std::string label =
+          "batch " + std::to_string(b) + " threads " + std::to_string(threads);
+      Result<MiningResult> mined = delta.value()->MineNext(batches[b]);
+      ASSERT_TRUE(mined.ok()) << label;
+      ASSERT_NE(mined.value().Find(triple), nullptr) << label;
+
+      // A full recount of the same snapshot, candidate by candidate.
+      delta.value()->view().AssertSoleWriter();  // this thread feeds it
+      const StreamingSnapshot snap = delta.value()->view().Snapshot();
+      EXPECT_EQ(snap.view().JoinDriver(triple), expected_driver[b]) << label;
+      std::vector<Itemset> singles;
+      std::vector<Itemset> larger;
+      for (const FrequentItemset& fi : mined.value().itemsets()) {
+        (fi.itemset.size() == 1 ? singles : larger).push_back(fi.itemset);
+      }
+      MiningResult full;
+      RecountExpectedCandidates(
+          snap.view(), singles, larger,
+          params.min_esup * static_cast<double>(snap.watermark()), threads,
+          full);
+      full.SortCanonical();
+      ASSERT_EQ(full.size(), mined.value().size()) << label;
+      for (std::size_t i = 0; i < full.size(); ++i) {
+        const std::string what = label + " " + full[i].itemset.ToString();
+        EXPECT_EQ(mined.value()[i].itemset, full[i].itemset) << what;
+        EXPECT_EQ(mined.value()[i].expected_support, full[i].expected_support)
+            << what;
+        EXPECT_EQ(mined.value()[i].variance, full[i].variance) << what;
+      }
+    }
+  }
 }
 
 TEST(DeltaMinerTest, EmptyBatchesAndEmptyStream) {

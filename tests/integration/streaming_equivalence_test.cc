@@ -31,9 +31,13 @@ struct ScopedKernel {
 /// Schedule variety, derived from the seed alone: every third seed leans
 /// on heavy item skew, every fourth raises the empty-transaction rate,
 /// every fifth mines at a low threshold (deeper levels, more
-/// candidates). Combined with the in-harness randomization (batch sizes,
-/// forced compactions, compaction policy, universe growth) this spreads
-/// the schedules across the regimes the delta path must survive.
+/// candidates), and every seventh (from 1) drifts item popularity
+/// between batches, so pooled itemsets change join driver mid-stream.
+/// The drifting seeds mine at min_esup 0.02, where most pooled itemsets
+/// are also globally frequent: only reported moments are compared, so a
+/// flip is seen only on an itemset the stream reports. Combined with the in-harness randomization (batch sizes, forced
+/// compactions, compaction policy, universe growth) this spreads the
+/// schedules across the regimes the delta path must survive.
 StreamScheduleSpec SpecForSeed(std::uint64_t seed) {
   StreamScheduleSpec spec;
   spec.seed = seed;
@@ -41,6 +45,10 @@ StreamScheduleSpec SpecForSeed(std::uint64_t seed) {
   spec.batch.item_skew = (seed % 3 == 0) ? 2.0 : 0.9;
   spec.batch.empty_prob = (seed % 4 == 0) ? 0.3 : 0.05;
   spec.min_esup = (seed % 5 == 0) ? 0.1 : 0.25;
+  if (seed % 7 == 1) {
+    spec.drift = 1;
+    spec.min_esup = 0.02;
+  }
   return spec;
 }
 
@@ -50,17 +58,20 @@ class StreamingEquivalenceTest
 // 72 seeded schedules per kernel instance (216 across the suite), each
 // run — and checked — at 1, 2 and 8 threads, with the final streaming
 // results additionally pinned bit-identical across the thread counts.
+// The drifting seeds must cross at least one join-driver flip, or the
+// incremental recount's restart rule would go untested.
 TEST_P(StreamingEquivalenceTest, RandomSchedulesMatchRebuildBitForBit) {
   ScopedKernel forced(GetParam());
   constexpr std::uint64_t kSeedsPerKernel = 72;
   const std::uint64_t base =
       1000 * (static_cast<std::uint64_t>(GetParam()) + 1);
+  std::size_t driver_flips = 0;
   for (std::uint64_t seed = base; seed < base + kSeedsPerKernel; ++seed) {
     const StreamScheduleSpec spec = SpecForSeed(seed);
     MiningResult per_thread[std::size(kThreadCounts)];
     for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
       RunStreamDifferential(spec, "UApriori", kThreadCounts[t],
-                            &per_thread[t]);
+                            &per_thread[t], &driver_flips);
       if (::testing::Test::HasFatalFailure()) return;
     }
     for (std::size_t t = 1; t < std::size(kThreadCounts); ++t) {
@@ -77,6 +88,7 @@ TEST_P(StreamingEquivalenceTest, RandomSchedulesMatchRebuildBitForBit) {
       }
     }
   }
+  EXPECT_GT(driver_flips, 0u) << "no schedule changed a join driver";
 }
 
 // The pattern-growth shard miners run the same differential on a

@@ -52,6 +52,9 @@ struct StreamBatchSpec {
   double empty_prob = 0.0;    ///< chance a transaction comes out empty
   double min_prob = 0.05;     ///< probability range of present units
   double max_prob = 1.0;
+  /// Rotates popularity: Zipf rank r draws item (r - 1 + shift) mod
+  /// num_items, so the most popular item is `shift`.
+  std::size_t popularity_shift = 0;
 };
 
 /// Draws one batch of `n` transactions from `spec`, consuming `rng` (so
@@ -75,7 +78,9 @@ inline std::vector<Transaction> MakeStreamBatch(Rng& rng,
       for (unsigned u = 0; u < len; ++u) {
         // Zipf ranks are 1-based and head-heavy; rank 1 = most popular.
         const ItemId item = static_cast<ItemId>(
-            rng.Zipf(spec.num_items, spec.item_skew) - 1);
+            (rng.Zipf(spec.num_items, spec.item_skew) - 1 +
+             spec.popularity_shift) %
+            spec.num_items);
         units.push_back(
             ProbItem{item, rng.Uniform(spec.min_prob, spec.max_prob)});
       }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,11 +14,23 @@
 #include "core/delta_miner.h"
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
+#include "core/sharded_miner.h"
 #include "core/streaming_flat_view.h"
 #include "core/uncertain_database.h"
 #include "testing/random_db.h"
 
 namespace ufim::testing_util {
+
+/// The work counters the differential compares bit for bit.
+inline void ExpectSameCounters(const MiningCounters& a,
+                               const MiningCounters& b,
+                               const std::string& label) {
+  EXPECT_EQ(a.candidates_generated, b.candidates_generated) << label;
+  EXPECT_EQ(a.candidates_pruned_apriori, b.candidates_pruned_apriori) << label;
+  EXPECT_EQ(a.candidates_rejected_bound, b.candidates_rejected_bound) << label;
+  EXPECT_EQ(a.exact_tail_evals, b.exact_tail_evals) << label;
+  EXPECT_EQ(a.database_scans, b.database_scans) << label;
+}
 
 /// One seeded, randomized append/compact/mine schedule for the streaming
 /// differential harness. Everything — batch sizes (including empty
@@ -32,6 +46,10 @@ struct StreamScheduleSpec {
   double force_compact_prob = 0.25;  ///< explicit Compact() before a mine
   double snapshot_prob = 0.35;  ///< Snapshot() after a mine, re-checked at end
   double min_esup = 0.2;
+  /// Popularity drift: op k draws its batch with popularity_shift
+  /// k * drift, so item skew moves between batches and the rarest member
+  /// of a pooled itemset (its join driver) can change mid-stream.
+  std::size_t drift = 0;
   StreamBatchSpec batch;       ///< item/probability regime of the stream
 };
 
@@ -52,7 +70,16 @@ struct StreamScheduleSpec {
 ///     built from scratch. Itemset sets must match exactly; moments are
 ///     compared to 1e-9 (the plain miner may legally accumulate in a
 ///     different — e.g. tree-path — order).
-///  3. **Snapshot immutability (bit-identical):** schedule steps take
+///  3. **Incremental recount (bit-identical):** the streaming result
+///     against a replay that mines each appended suffix with the plain
+///     miner on the from-scratch database and recounts the union of
+///     their results in full (`RecountExpectedCandidates` without
+///     running states) — results and `MiningCounters`. This is what pins
+///     the DeltaMiner's carried-forward moments, which check 1 cannot
+///     (both of its miners carry them). The replay also counts *driver
+///     flips*: a pooled itemset of three or more items whose join driver
+///     differs from the one at the previous recount.
+///  4. **Snapshot immutability (bit-identical):** schedule steps take
 ///     `Snapshot()` handles mid-stream and record a baseline mined over
 ///     each at capture time; after the whole schedule — every later
 ///     append, policy compaction, and forced compaction — each handle is
@@ -60,11 +87,13 @@ struct StreamScheduleSpec {
 ///     `MiningCounters`), proving mutations never touch frozen storage.
 ///
 /// `final_result`, when given, receives the final streaming result so
-/// callers can additionally pin bit-equality across thread counts.
+/// callers can additionally pin bit-equality across thread counts;
+/// `driver_flips`, when given, is increased by the flips check 3 saw.
 inline void RunStreamDifferential(const StreamScheduleSpec& spec,
                                   std::string_view algorithm,
                                   std::size_t num_threads,
-                                  MiningResult* final_result = nullptr) {
+                                  MiningResult* final_result = nullptr,
+                                  std::size_t* driver_flips = nullptr) {
   Rng rng(spec.seed);
 
   // Draw the whole schedule up front so every variant sees identical
@@ -76,6 +105,7 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
   for (std::size_t op = 0; op < spec.num_ops; ++op) {
     StreamBatchSpec bs = spec.batch;
     bs.num_items += op * spec.item_growth;  // later batches grow the universe
+    bs.popularity_shift = op * spec.drift;
     const std::size_t size = rng.UniformInt(0, spec.max_batch);
     batches.push_back(MakeStreamBatch(rng, bs, size));
     force_compact.push_back(rng.Bernoulli(spec.force_compact_prob));
@@ -117,6 +147,12 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
   std::vector<TakenSnapshot> snapshots;
 
   UncertainDatabase accumulated;
+  // Check 3's replay: the suffix-shard candidate pool, the transactions
+  // its shards cover, and each pooled itemset's driver at the last
+  // recount.
+  std::set<Itemset> pool;
+  std::size_t mined_upto = 0;
+  std::map<Itemset, std::size_t> drivers;
   for (std::size_t op = 0; op < batches.size(); ++op) {
     const std::string label = "seed=" + std::to_string(spec.seed) +
                               " op=" + std::to_string(op) +
@@ -138,22 +174,12 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
       EXPECT_EQ(a.value()[i].variance, b.value()[i].variance)
           << label << " " << b.value()[i].itemset.ToString();
     }
-    const MiningCounters& ca = a.value().counters();
-    const MiningCounters& cb = b.value().counters();
-    EXPECT_EQ(ca.candidates_generated, cb.candidates_generated) << label;
-    EXPECT_EQ(ca.candidates_pruned_apriori, cb.candidates_pruned_apriori)
-        << label;
-    EXPECT_EQ(ca.candidates_rejected_bound, cb.candidates_rejected_bound)
-        << label;
-    EXPECT_EQ(ca.exact_tail_evals,
-              cb.exact_tail_evals)
-        << label;
-    EXPECT_EQ(ca.database_scans, cb.database_scans) << label;
+    ExpectSameCounters(a.value().counters(), b.value().counters(), label);
 
     // Semantic exactness against a from-scratch non-incremental run.
     accumulated.Append(batches[op]);
-    Result<MiningResult> c = plain->Mine(FlatView(accumulated),
-                                         MiningTask(params));
+    const FlatView full(accumulated);
+    Result<MiningResult> c = plain->Mine(full, MiningTask(params));
     ASSERT_TRUE(c.ok()) << label << ": " << c.status().ToString();
     MiningResult reference = std::move(c).value();
     reference.SortCanonical();
@@ -166,6 +192,46 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
       EXPECT_NEAR(a.value()[i].variance, reference[i].variance, 1e-9)
           << label << " " << reference[i].itemset.ToString();
     }
+    // Incremental recount against the replayed pool, counted in full.
+    MiningResult replayed;
+    if (!batches[op].empty()) {
+      Result<MiningResult> local = plain->Mine(
+          full.Slice(mined_upto, full.num_transactions()), MiningTask(params));
+      ASSERT_TRUE(local.ok()) << label << ": " << local.status().ToString();
+      replayed.counters() += local.value().counters();
+      for (const FrequentItemset& fi : local.value().itemsets()) {
+        pool.insert(fi.itemset);
+      }
+      mined_upto = full.num_transactions();
+    }
+    EXPECT_EQ(streaming.value()->candidate_pool_size(), pool.size()) << label;
+    std::vector<Itemset> singles;
+    std::vector<Itemset> larger;
+    for (const Itemset& is : pool) {
+      (is.size() == 1 ? singles : larger).push_back(is);
+      if (is.size() < 3) continue;
+      const std::size_t driver = full.JoinDriver(is);
+      const auto [it, fresh] = drivers.emplace(is, driver);
+      if (!fresh && it->second != driver) {
+        it->second = driver;
+        if (driver_flips != nullptr) ++*driver_flips;
+      }
+    }
+    RecountExpectedCandidates(
+        full, singles, larger,
+        params.min_esup * static_cast<double>(full.num_transactions()),
+        num_threads, replayed);
+    replayed.SortCanonical();
+    ASSERT_EQ(a.value().size(), replayed.size()) << label;
+    for (std::size_t i = 0; i < replayed.size(); ++i) {
+      EXPECT_EQ(a.value()[i].itemset, replayed[i].itemset) << label;
+      EXPECT_EQ(a.value()[i].expected_support, replayed[i].expected_support)
+          << label << " " << replayed[i].itemset.ToString();
+      EXPECT_EQ(a.value()[i].variance, replayed[i].variance)
+          << label << " " << replayed[i].itemset.ToString();
+    }
+    ExpectSameCounters(a.value().counters(), replayed.counters(), label);
+
     // Snapshot step: freeze the streaming state and record a bitwise
     // baseline over the frozen view; checked again after the schedule.
     if (take_snapshot[op]) {
@@ -205,15 +271,8 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
       EXPECT_EQ(again.value()[i].variance, taken.at_capture[i].variance)
           << label << " " << taken.at_capture[i].itemset.ToString();
     }
-    const MiningCounters& cr = again.value().counters();
-    const MiningCounters& cs = taken.at_capture.counters();
-    EXPECT_EQ(cr.candidates_generated, cs.candidates_generated) << label;
-    EXPECT_EQ(cr.candidates_pruned_apriori, cs.candidates_pruned_apriori)
-        << label;
-    EXPECT_EQ(cr.candidates_rejected_bound, cs.candidates_rejected_bound)
-        << label;
-    EXPECT_EQ(cr.exact_tail_evals, cs.exact_tail_evals) << label;
-    EXPECT_EQ(cr.database_scans, cs.database_scans) << label;
+    ExpectSameCounters(again.value().counters(), taken.at_capture.counters(),
+                       label);
   }
 }
 
