@@ -14,10 +14,12 @@
 //    run. This is the end-to-end amortized cost per appended
 //    transaction that a serving system pays.
 //
-// A final sweep prices StreamingFlatView::Snapshot() — the frozen
-// read handle concurrent miners hold — at growing delta sizes: the
-// base arrays are shared by pointer, so the copy is O(delta +
-// num_items), not O(database).
+// A final sweep prices StreamingFlatView::Snapshot() — the read handle
+// concurrent miners hold, O(1) because published storage is never
+// written — and the cost that copy-on-write moved into Append: one
+// 16-txn Append while a snapshot shares the storage copies the delta
+// and moment arrays first (base arrays shared by pointer), so it is
+// O(delta + num_items), not O(database), at growing delta sizes.
 //
 // A long-stream row feeds a 100k-transaction Kosarak-like stream (the
 // e2ebench `stream` data shape) in 3000-transaction batches and times
@@ -164,12 +166,11 @@ void BM_StreamingMineNext(benchmark::State& state) {
   state.counters["itemsets"] = static_cast<double>(frequent);
 }
 
-/// Snapshot cost: freeze a handle (StreamingFlatView::Snapshot — base
-/// pointer shared, delta + moment arrays deep-copied) at a controlled
-/// delta size. `state.range(0)` is the number of appended transactions
-/// left unfolded in the delta; the never-compact policy pins the delta
-/// at exactly that size so the O(delta + num_items) claim is visible
-/// across the sweep.
+/// Snapshot cost: take a handle (StreamingFlatView::Snapshot — the
+/// storage pointer shared, nothing copied) at a controlled delta size.
+/// `state.range(0)` is the number of appended transactions left
+/// unfolded in the delta; the never-compact policy pins the delta at
+/// exactly that size, so the sweep shows the cost does not grow with it.
 void BM_Snapshot(benchmark::State& state) {
   const std::size_t delta_txns = static_cast<std::size_t>(state.range(0));
   CompactionPolicy never;
@@ -185,6 +186,31 @@ void BM_Snapshot(benchmark::State& state) {
   }
   state.counters["delta_txns"] = static_cast<double>(delta_txns);
   benchmark::DoNotOptimize(delta_units);
+}
+
+/// Append while shared: one 16-txn Append while a snapshot holds the
+/// storage, at the delta sizes of BM_Snapshot — the copy-on-write cost
+/// (delta + moment arrays copied, base shared) that MineNext pays once
+/// per batch. The append runs inside a transaction that is rolled back,
+/// so every iteration starts from the same delta; the rollback frees the
+/// copy, and that free is timed too.
+void BM_AppendWhileShared(benchmark::State& state) {
+  constexpr std::size_t kAppendTxns = 16;
+  const std::size_t delta_txns = static_cast<std::size_t>(state.range(0));
+  CompactionPolicy never;
+  never.max_delta_ratio = 1e18;
+  StreamingFlatView sv(Stream().base, never);
+  sv.AssertSoleWriter();  // single-threaded bench: sole writer by construction
+  sv.Append(Batch(0, delta_txns));
+  for (auto _ : state) {
+    const StreamingSnapshot snap = sv.Snapshot();
+    sv.BeginAppend();
+    sv.Append(Batch(0, kAppendTxns));
+    benchmark::DoNotOptimize(sv.num_units());
+    sv.RollbackAppend();
+    benchmark::DoNotOptimize(snap.view().num_units());
+  }
+  state.counters["delta_txns"] = static_cast<double>(delta_txns);
 }
 
 /// Long stream: mean MineNext ms per batch over the `kLongWindow`
@@ -288,9 +314,12 @@ BENCHMARK(BM_LongStreamMineNext)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// Snapshot-handle cost at growing delta sizes (base arrays are shared,
-// so this scales with the unfolded delta, not the full database).
+// Snapshot-handle cost at growing delta sizes (O(1): the storage is
+// shared), and the cost of a 16-txn Append while a snapshot is held
+// (copies the unfolded delta, never the full database).
 BENCHMARK(BM_Snapshot)->Arg(0)->Arg(16)->Arg(128)->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AppendWhileShared)->Arg(0)->Arg(16)->Arg(128)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

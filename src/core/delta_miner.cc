@@ -79,7 +79,7 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
 
       if (batch.empty()) {
         // Pure recount: no append transaction, no policy-compaction
-        // side effect, no shard/watermark drift — just freeze the
+        // side effect, no shard/watermark drift — just hold the
         // current state for phase 2.
         snap = view_.Snapshot();
       } else {
@@ -90,7 +90,6 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
         view_.BeginAppend();
         AppendTxnGuard rollback_unless_committed(view_);
         view_.Append(batch);
-        // ufim-lint: allow(raw-view) consumed before CommitAppend, under the write mutex
         const FlatView full = view_.View();
         const std::size_t n_txn = full.num_transactions();
 
@@ -114,7 +113,7 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
         // The shard is mined and the pool updated — commit (running any
         // deferred compaction) before snapshotting, so a recount
         // failure leaves a consistent stream that an empty-batch call
-        // re-mines, and the snapshot freezes the committed state.
+        // re-mines, and the snapshot holds the committed state.
         view_.CommitAppend();
         snap = view_.Snapshot();
       }
@@ -136,9 +135,9 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
     }
 
     // Phase 2: exact recount of the whole candidate pool over the
-    // frozen snapshot, outside the write mutex — a concurrent explicit
-    // Compact cannot perturb it (copy-on-compact leaves the snapshot's
-    // storage untouched), and the result is bit-identical either way.
+    // snapshot, outside the write mutex — a concurrent explicit Compact
+    // cannot perturb it (copy-on-compact leaves the snapshot's storage
+    // untouched), and the result is bit-identical either way.
     // Each pooled candidate joins only the transactions its saved
     // moments have not covered yet.
     const double threshold =

@@ -85,17 +85,20 @@ class DeltaMiner {
   /// triggers no policy compaction, and moves no shard bookkeeping.
   ///
   /// **Transactional.** The append runs under the view's
-  /// BeginAppend/CommitAppend protocol: if the inner shard mine fails
-  /// (including cancellation through the attached RunContext), the batch
-  /// is rolled back to the pre-append watermark and the error returned —
-  /// the stream is *not* poisoned. Retrying the same batch after a
-  /// transient failure appends it exactly once and yields the same
-  /// result as if the failure never happened. The candidate pool and
-  /// shard watermark advance only on a successful shard mine, and the
-  /// batch commits before the recount, so a recount-phase failure leaves
-  /// a consistent committed stream that an empty-batch retry re-mines.
-  /// The pooled candidates' saved moments advance only when the recount
-  /// succeeds; the retry continues them from where they were.
+  /// BeginAppend/CommitAppend protocol: the transaction keeps the
+  /// pre-append storage, and the batch is written into a copy. If the
+  /// inner shard mine fails (including cancellation through the
+  /// attached RunContext), rollback restores the kept storage — the
+  /// stream is back at its pre-append watermark, bit for bit, and the
+  /// error is returned; the stream is *not* poisoned. Retrying the same
+  /// batch after a transient failure appends it exactly once and yields
+  /// the same result as if the failure never happened. The candidate
+  /// pool and shard watermark advance only on a successful shard mine,
+  /// and the batch commits before the recount, so a recount-phase
+  /// failure leaves a consistent committed stream that an empty-batch
+  /// retry re-mines. The pooled candidates' saved moments advance only
+  /// when the recount succeeds; the retry continues them from where
+  /// they were.
   ///
   /// **Threads.** Calls to MineNext must still be serialized by the
   /// caller (it is the stream's one writer), but the expensive recount
@@ -120,8 +123,8 @@ class DeltaMiner {
   /// (the differential harness pins this). Serialized with MineNext's
   /// mutation phase by the miner's write mutex, so it may be called
   /// from another thread even while a MineNext recount is in flight:
-  /// the recount reads a frozen snapshot, and copy-on-compact leaves
-  /// retired storage untouched.
+  /// the recount reads a snapshot, and copy-on-compact leaves the
+  /// snapshot's storage untouched.
   void Compact() {
     MutexLock lock(write_mu_);
     view_.AssertSoleWriter();
@@ -141,7 +144,7 @@ class DeltaMiner {
     return pool_.size();
   }
 
-  /// Candidates first admitted to the pool at storage generation >=
+  /// Candidates first admitted to the pool at stream generation >=
   /// `generation` — per-generation bookkeeping for pool-growth
   /// diagnostics (a candidate's admission generation never changes;
   /// re-discovery by a later shard keeps the original).
@@ -163,7 +166,7 @@ class DeltaMiner {
   std::size_t mined_upto_ UFIM_GUARDED_BY(write_mu_) = 0;
   std::size_t shards_mined_ UFIM_GUARDED_BY(write_mu_) = 0;
   struct PoolEntry {
-    std::uint64_t admitted = 0;  ///< storage generation that admitted it
+    std::uint64_t admitted = 0;  ///< stream generation that admitted it
     /// Running moments of a size->=2 candidate as of the last successful
     /// recount (unused for singletons, which read the view's moments).
     RecountState moments;

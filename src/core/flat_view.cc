@@ -68,12 +68,10 @@ FlatView::FlatView(const UncertainDatabase& db) {
   BuildStorage(db, *s);
   begin_ = 0;
   end_ = s->full_size;
-  born_generation_ = 0;  // freshly built storage starts at generation 0
   storage_ = std::move(s);
 }
 
 std::size_t FlatView::UnitsBefore(std::size_t t) const {
-  CheckNotStale();
   const Storage& s = *storage_;
   if (t <= s.base_size) return s.base->txn_offsets[t];
   return s.base->units.size() + s.delta_txn_offsets[t - s.base_size];
@@ -93,7 +91,6 @@ double FlatView::Probability(TransactionId t, ItemId item) const {
 }
 
 SegmentedPostings FlatView::PostingSegments(ItemId item) const {
-  CheckNotStale();
   const Storage& s = *storage_;
   SegmentedPostings out;
 
@@ -168,15 +165,6 @@ namespace {
 
 }  // namespace
 
-void FlatView::DieOnStaleView() {
-  std::fprintf(stderr,
-               "FlatView: stale view — the backing streaming storage was "
-               "mutated (Append/Compact/RollbackAppend) after this view was "
-               "obtained; re-take View() after mutating, or hold a "
-               "StreamingFlatView::Snapshot() to read across mutations\n");
-  std::abort();
-}
-
 std::span<const TransactionId> FlatView::PostingTids(ItemId item) const {
   const SegmentedPostings p = PostingSegments(item);
   if (p.count == 0) return {};
@@ -214,7 +202,6 @@ void FlatView::AppendPostingProbs(ItemId item,
 }
 
 double FlatView::ItemExpectedSupport(ItemId item) const {
-  CheckNotStale();
   if (item >= storage_->num_items) return 0.0;
   if (IsFullView()) return storage_->item_esup[item];
   // Segments in tid order give the same Add sequence a contiguous
@@ -228,7 +215,6 @@ double FlatView::ItemExpectedSupport(ItemId item) const {
 }
 
 double FlatView::ItemSquaredSum(ItemId item) const {
-  CheckNotStale();
   if (item >= storage_->num_items) return 0.0;
   if (IsFullView()) return storage_->item_sq_sum[item];
   const SegmentedPostings p = PostingSegments(item);
@@ -366,9 +352,6 @@ bool FlatView::BeginJoin(const Itemset& itemset, JoinScratch& s,
 }
 
 bool FlatView::NextJoinBatch(JoinScratch& s, JoinBatch& batch) const {
-  // The scratch holds raw pointers into the storage between batches, so
-  // a mutation landing mid-join must trip here, not just at BeginJoin.
-  CheckNotStale();
   if (s.driver_pos_ >= s.driver_len_) return false;
   const std::size_t lo = s.driver_pos_;
   const std::size_t len = std::min(kJoinBatchTids, s.driver_len_ - lo);
@@ -511,13 +494,10 @@ FlatView::RankProjection FlatView::ProjectOntoRanks(
 }
 
 FlatView FlatView::Slice(std::size_t lo, std::size_t hi) const {
-  // Slices inherit the parent's birth generation (slicing a stale view
-  // must not launder it into a fresh-looking one).
-  CheckNotStale();
   const std::size_t n = num_transactions();
   lo = std::min(lo, n);
   hi = std::min(std::max(hi, lo), n);
-  return FlatView(storage_, begin_ + lo, begin_ + hi, born_generation_);
+  return FlatView(storage_, begin_ + lo, begin_ + hi);
 }
 
 FlatView FlatView::Prefix(std::size_t n) const { return Slice(0, n); }

@@ -2,7 +2,6 @@
 #define UFIM_CORE_FLAT_VIEW_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -14,19 +13,6 @@
 #include "core/simd_intersect.h"
 #include "core/types.h"
 #include "core/uncertain_database.h"
-
-/// Stale-view generation checks (see "Storage generations" in the
-/// FlatView class comment) compile into debug and sanitizer builds —
-/// anything built without NDEBUG — and out of Release, keeping the hot
-/// accessors branch-free there. Define UFIM_STALE_VIEW_CHECKS=0/1 to
-/// override either way.
-#ifndef UFIM_STALE_VIEW_CHECKS
-#ifdef NDEBUG
-#define UFIM_STALE_VIEW_CHECKS 0
-#else
-#define UFIM_STALE_VIEW_CHECKS 1
-#endif
-#endif
 
 namespace ufim {
 
@@ -152,19 +138,12 @@ struct JoinBatch {
 /// data was appended or rebuilt from scratch (the streaming differential
 /// harness enforces this).
 ///
-/// **Storage generations (stale-view detection).** Every storage
-/// carries a monotonically increasing generation counter; a mutation of
-/// streaming storage (`StreamingFlatView::Append`, `Compact`,
-/// `RollbackAppend`) bumps it. A view remembers the generation it was
-/// born at, and in debug/sanitizer builds (`UFIM_STALE_VIEW_CHECKS`)
-/// every accessor verifies the two still agree — a *stale* view, one
-/// that outlived a mutation of its storage, aborts with a clear message
-/// instead of silently reading mutated arrays and returning wrong
-/// supports. Views over `FlatView(db)` storage are never stale (nothing
-/// mutates that storage), and a `StreamingSnapshot`'s view holds frozen
-/// storage whose generation never moves, so both pass the check for
-/// free; only live `StreamingFlatView::View()` views (and their slices
-/// and copies, which inherit the birth generation) can trip it.
+/// **Immutable published storage.** A view holds its storage by
+/// shared pointer, and no one writes into storage a view can reach:
+/// `FlatView(db)` storage is never mutated, and `StreamingFlatView`
+/// copies any storage it has handed out before appending to it, and
+/// compacts into fresh storage. A view therefore reads the same bits
+/// for as long as it lives, whatever the stream does afterwards.
 ///
 /// A view is cheap to copy: copies share the underlying arrays.
 /// `Slice(lo, hi)` returns an O(1) view of a contiguous transaction
@@ -205,7 +184,6 @@ class FlatView {
   /// vertical postings below are the split layout.
   /// Transparently reads the delta region for appended transactions.
   std::span<const ProbItem> TransactionUnits(TransactionId t) const {
-    CheckNotStale();
     const Storage& s = *storage_;
     if (t < s.base_size) {
       const Storage::BaseArrays& b = *s.base;
@@ -397,10 +375,10 @@ class FlatView {
     /// The contiguous compacted region's arrays, immutable once
     /// published and shared by reference: `StreamingFlatView::Compact`
     /// builds a fresh merged `BaseArrays` into fresh storage
-    /// (copy-on-compact) instead of rewriting these in place, and
-    /// `StreamingFlatView::Snapshot` freezes a storage by copying only
-    /// the delta + moment arrays while sharing this pointer — O(delta),
-    /// bounded by the compaction policy, never O(total).
+    /// (copy-on-compact) instead of rewriting these in place, and a
+    /// `StreamingFlatView::Append` that must copy shared storage copies
+    /// only the delta + moment arrays while sharing this pointer —
+    /// O(delta), bounded by the compaction policy, never O(total).
     struct BaseArrays {
       // Horizontal CSR over the base transactions [0, base_size).
       std::vector<std::size_t> txn_offsets;  ///< size base_size + 1
@@ -420,15 +398,9 @@ class FlatView {
     std::size_t base_size = 0;  ///< transactions in the contiguous base
 
     /// Immutable base arrays; set by every construction path
-    /// (BuildStorage / Compact / Snapshot), never rewritten after.
+    /// (BuildStorage / Compact / the copy before a shared Append),
+    /// never rewritten after.
     std::shared_ptr<const BaseArrays> base;
-
-    /// Mutation counter for stale-view detection: bumped by streaming
-    /// Append/Rollback, and bumped once more when a compaction retires
-    /// this storage in favour of the freshly merged one. Atomic so a
-    /// stale reader's check races cleanly with the writer's bump
-    /// (relaxed order suffices — the check is advisory, not a fence).
-    std::atomic<std::uint64_t> generation{0};
 
     // Streaming delta: transactions [base_size, full_size), appended by
     // StreamingFlatView and folded into a fresh base by Compact(). The
@@ -457,30 +429,8 @@ class FlatView {
   };
 
   FlatView(std::shared_ptr<const Storage> storage, std::size_t begin,
-           std::size_t end, std::uint64_t born_generation)
-      : storage_(std::move(storage)),
-        begin_(begin),
-        end_(end),
-        born_generation_(born_generation) {}
-
-  /// Aborts with the stale-view diagnostic (see CheckNotStale).
-  [[noreturn]] static void DieOnStaleView();
-
-  /// Debug/sanitizer-build guard on every accessor: a view whose
-  /// storage has been mutated since the view was born (a *stale* view —
-  /// the single-writer contract of StreamingFlatView was broken, or a
-  /// raw View() was held across an Append/Compact where a Snapshot()
-  /// was required) aborts loudly instead of silently reading mutated
-  /// arrays. Snapshot views and plain FlatView(db) views always pass:
-  /// their storage's generation never moves.
-  void CheckNotStale() const {
-#if UFIM_STALE_VIEW_CHECKS
-    if (storage_->generation.load(std::memory_order_relaxed) !=
-        born_generation_) {
-      DieOnStaleView();
-    }
-#endif
-  }
+           std::size_t end)
+      : storage_(std::move(storage)), begin_(begin), end_(end) {}
 
   /// Builds `s` as the contiguous (no-delta) columnar image of `db`.
   static void BuildStorage(const UncertainDatabase& db, Storage& s);
@@ -512,10 +462,6 @@ class FlatView {
   std::shared_ptr<const Storage> storage_;
   std::size_t begin_ = 0;  ///< first viewed transaction (global id)
   std::size_t end_ = 0;    ///< one past the last viewed transaction
-  /// Storage generation this view (or the view it was sliced/copied
-  /// from) was obtained at; compared against the live generation by
-  /// CheckNotStale in debug/sanitizer builds.
-  std::uint64_t born_generation_ = 0;
 };
 
 }  // namespace ufim

@@ -1,9 +1,25 @@
 #include "core/streaming_flat_view.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
+#include <vector>
 
 namespace ufim {
+
+namespace {
+
+/// A copy of `src` with capacity for `room` more elements, so the
+/// push_backs that follow never reallocate.
+template <typename T>
+std::vector<T> CopyWithRoom(const std::vector<T>& src, std::size_t room) {
+  std::vector<T> out;
+  out.reserve(src.size() + room);
+  out.assign(src.begin(), src.end());
+  return out;
+}
+
+}  // namespace
 
 StreamingFlatView::StreamingFlatView(CompactionPolicy policy)
     : StreamingFlatView(UncertainDatabase(), policy) {}
@@ -17,114 +33,107 @@ StreamingFlatView::StreamingFlatView(const UncertainDatabase& db,
 }
 
 void StreamingFlatView::BeginAppend() {
-  assert(!txn_.has_value() && "append transaction already open");
-  const FlatView::Storage& s = *storage_;
-  AppendTxn txn;
-  txn.full_size = s.full_size;
-  txn.num_items = s.num_items;
-  txn.delta_units = s.delta_units.size();
-  txn.delta_txn_offsets = s.delta_txn_offsets.size();
-  txn_ = std::move(txn);
-}
-
-void StreamingFlatView::SnapshotForTxn(ItemId item) {
-  const FlatView::Storage& s = *storage_;
-  // Tids assigned inside the transaction are >= the transaction's
-  // starting full_size, and per-item delta tids strictly ascend — so the
-  // tail tid tells in O(1) whether this item was already dirtied (and
-  // snapshotted) by this transaction.
-  const std::vector<TransactionId>& tids = s.delta_tids[item];
-  if (!tids.empty() &&
-      static_cast<std::size_t>(tids.back()) >= txn_->full_size) {
-    return;
-  }
-  AppendTxn::ItemSnapshot snap;
-  snap.item = item;
-  snap.delta_len = tids.size();
-  snap.esup_acc = s.item_esup_acc[item];
-  snap.esup = s.item_esup[item];
-  snap.sq_sum = s.item_sq_sum[item];
-  txn_->items.push_back(std::move(snap));
+  assert(!in_append_txn() && "append transaction already open");
+  txn_base_ = storage_;
+  shared_.store(true, std::memory_order_relaxed);
 }
 
 bool StreamingFlatView::CommitAppend() {
-  assert(txn_.has_value() && "no open append transaction");
-  txn_.reset();
+  assert(in_append_txn() && "no open append transaction");
+  // Release the pre-transaction storage first, so a deferred compaction
+  // never holds it beside the appended storage and the merged base.
+  txn_base_.reset();
   // Deferred policy check, same rule as a bare Append's tail.
   return MaybeCompact();
 }
 
 void StreamingFlatView::RollbackAppend() {
-  assert(txn_.has_value() && "no open append transaction");
-  FlatView::Storage& s = *storage_;
-  const AppendTxn& txn = *txn_;
-  // Per-item posting tails and moment cells first; items created inside
-  // the transaction are truncated away by the universe shrink below, so
-  // writing their cells here is harmless.
-  for (const AppendTxn::ItemSnapshot& snap : txn.items) {
-    s.delta_tids[snap.item].resize(snap.delta_len);
-    s.delta_probs[snap.item].resize(snap.delta_len);
-    s.item_esup_acc[snap.item] = snap.esup_acc;
-    s.item_esup[snap.item] = snap.esup;
-    s.item_sq_sum[snap.item] = snap.sq_sum;
+  assert(in_append_txn() && "no open append transaction");
+  // The transaction shared the pre-append storage, so every Append
+  // inside it wrote into a copy; restoring the pointer restores the
+  // exact pre-BeginAppend bits. Views taken before or inside the
+  // transaction keep the storage they share.
+  storage_ = std::move(txn_base_);
+  shared_.store(true, std::memory_order_relaxed);
+  ++generation_;
+}
+
+std::shared_ptr<FlatView::Storage> StreamingFlatView::CopyForAppend(
+    const FlatView::Storage& s, std::span<const Transaction> batch,
+    std::size_t num_items) {
+  std::vector<std::size_t> room(num_items, 0);
+  std::size_t units = 0;
+  for (const Transaction& t : batch) {
+    units += t.size();
+    for (const ProbItem& u : t) ++room[u.item];
   }
-  if (s.num_items != txn.num_items) {
-    s.num_items = txn.num_items;
-    s.delta_tids.resize(txn.num_items);
-    s.delta_probs.resize(txn.num_items);
-    s.item_esup.resize(txn.num_items);
-    s.item_sq_sum.resize(txn.num_items);
-    s.item_esup_acc.resize(txn.num_items);
+  auto c = std::make_shared<FlatView::Storage>();
+  c->num_items = s.num_items;
+  c->full_size = s.full_size;
+  c->base_size = s.base_size;
+  c->base = s.base;
+  c->delta_txn_offsets = CopyWithRoom(s.delta_txn_offsets, batch.size());
+  c->delta_units = CopyWithRoom(s.delta_units, units);
+  c->delta_tids.reserve(num_items);
+  c->delta_probs.reserve(num_items);
+  for (std::size_t i = 0; i < s.num_items; ++i) {
+    c->delta_tids.push_back(CopyWithRoom(s.delta_tids[i], room[i]));
+    c->delta_probs.push_back(CopyWithRoom(s.delta_probs[i], room[i]));
   }
-  s.delta_units.resize(txn.delta_units);
-  s.delta_txn_offsets.resize(txn.delta_txn_offsets);
-  s.full_size = txn.full_size;
-  // A rollback is a mutation like any other: views handed out during
-  // the transaction (or before it) must not keep reading, even though
-  // the restored bits happen to match the pre-transaction state.
-  s.generation.fetch_add(1, std::memory_order_relaxed);
-  txn_.reset();
+  const std::size_t new_items = num_items - s.num_items;
+  c->item_esup = CopyWithRoom(s.item_esup, new_items);
+  c->item_sq_sum = CopyWithRoom(s.item_sq_sum, new_items);
+  c->item_esup_acc = CopyWithRoom(s.item_esup_acc, new_items);
+  return c;
 }
 
 bool StreamingFlatView::Append(std::span<const Transaction> batch) {
-  FlatView::Storage& s = *storage_;
-  for (const Transaction& t : batch) {
-    const TransactionId tid = static_cast<TransactionId>(s.full_size);
-    for (const ProbItem& u : t) {
-      if (u.item >= s.num_items) {
-        // Previously-unseen item: grow the item-indexed arrays. The base
-        // CSR stays as built (the new item simply has no base segment).
-        s.num_items = static_cast<std::size_t>(u.item) + 1;
-        s.delta_tids.resize(s.num_items);
-        s.delta_probs.resize(s.num_items);
-        s.item_esup.resize(s.num_items, 0.0);
-        s.item_sq_sum.resize(s.num_items, 0.0);
-        s.item_esup_acc.resize(s.num_items, KahanSum());
-      }
-      if (txn_.has_value()) SnapshotForTxn(u.item);
-      s.delta_units.push_back(u);
-      s.delta_tids[u.item].push_back(tid);
-      s.delta_probs[u.item].push_back(u.prob);
-      // Per-item unit order is tid-major here exactly as in a
-      // from-scratch build, so continuing the persistent accumulators
-      // reproduces the rebuild's moment bits at every point.
-      s.item_esup_acc[u.item].Add(u.prob);
-      s.item_esup[u.item] = s.item_esup_acc[u.item].value();
-      s.item_sq_sum[u.item] += u.prob * u.prob;
-    }
-    s.delta_txn_offsets.push_back(s.delta_units.size());
-    ++s.full_size;
-  }
-  // Mark the mutation before the policy check so a triggered compaction
-  // advances the generation sequence monotonically (append g -> g+1,
-  // compact retires at g+2 and publishes fresh storage at g+2).
   if (!batch.empty()) {
-    s.generation.fetch_add(1, std::memory_order_relaxed);
+    std::size_t num_items = storage_->num_items;
+    for (const Transaction& t : batch) {
+      for (const ProbItem& u : t) {
+        num_items = std::max(num_items, static_cast<std::size_t>(u.item) + 1);
+      }
+    }
+    // Copy-on-write: storage someone may read is never written. The
+    // flag's ordering comes from whatever serializes View() callers
+    // with the writer, so a relaxed load is enough.
+    if (shared_.load(std::memory_order_relaxed)) {
+      storage_ = CopyForAppend(*storage_, batch, num_items);
+      shared_.store(false, std::memory_order_relaxed);
+    }
+    FlatView::Storage& s = *storage_;
+    if (num_items > s.num_items) {
+      // Previously-unseen items: grow the item-indexed arrays. The base
+      // CSR stays as built (a new item simply has no base segment).
+      s.num_items = num_items;
+      s.delta_tids.resize(num_items);
+      s.delta_probs.resize(num_items);
+      s.item_esup.resize(num_items, 0.0);
+      s.item_sq_sum.resize(num_items, 0.0);
+      s.item_esup_acc.resize(num_items, KahanSum());
+    }
+    for (const Transaction& t : batch) {
+      const TransactionId tid = static_cast<TransactionId>(s.full_size);
+      for (const ProbItem& u : t) {
+        s.delta_units.push_back(u);
+        s.delta_tids[u.item].push_back(tid);
+        s.delta_probs[u.item].push_back(u.prob);
+        // Per-item unit order is tid-major here exactly as in a
+        // from-scratch build, so continuing the persistent accumulators
+        // reproduces the rebuild's moment bits at every point.
+        s.item_esup_acc[u.item].Add(u.prob);
+        s.item_esup[u.item] = s.item_esup_acc[u.item].value();
+        s.item_sq_sum[u.item] += u.prob * u.prob;
+      }
+      s.delta_txn_offsets.push_back(s.delta_units.size());
+      ++s.full_size;
+    }
+    ++generation_;
   }
   // Inside an append transaction the compaction is deferred to
-  // CommitAppend: folding uncommitted rows into the base would make them
-  // unrecoverable on rollback.
-  if (txn_.has_value()) return false;
+  // CommitAppend, after the pre-transaction storage is released.
+  if (in_append_txn()) return false;
   return MaybeCompact();
 }
 
@@ -139,14 +148,14 @@ bool StreamingFlatView::MaybeCompact() {
 }
 
 void StreamingFlatView::Compact() {
-  assert(!txn_.has_value() && "cannot compact inside an append transaction");
+  assert(!in_append_txn() && "cannot compact inside an append transaction");
   const FlatView::Storage& s = *storage_;
   if (s.full_size == s.base_size) return;
 
   // Copy-on-compact: the merged base is built into *fresh* storage and
-  // published by swapping storage_; the retired generation's arrays are
-  // never touched, so snapshot handles that still share them (or hold a
-  // frozen copy of the delta) keep reading valid, immutable data.
+  // published by swapping storage_; the retired storage is never
+  // touched, so views and snapshots that still share it keep reading
+  // valid, immutable data.
   const FlatView::Storage::BaseArrays& ob = *s.base;
   FlatView::Storage::BaseArrays merged;
 
@@ -203,8 +212,6 @@ void StreamingFlatView::Compact() {
   fresh->base_size = s.full_size;
   fresh->base =
       std::make_shared<const FlatView::Storage::BaseArrays>(std::move(merged));
-  fresh->generation.store(s.generation.load(std::memory_order_relaxed) + 1,
-                          std::memory_order_relaxed);
   fresh->delta_txn_offsets.assign(1, 0);
   fresh->delta_tids.resize(s.num_items);
   fresh->delta_probs.resize(s.num_items);
@@ -212,39 +219,18 @@ void StreamingFlatView::Compact() {
   fresh->item_sq_sum = s.item_sq_sum;
   fresh->item_esup_acc = s.item_esup_acc;
 
-  // Retire the old generation (outstanding live views on it become
-  // stale; snapshots hold distinct frozen storage and are unaffected),
-  // then publish the fresh one.
-  storage_->generation.fetch_add(1, std::memory_order_relaxed);
   storage_ = std::move(fresh);
+  shared_.store(false, std::memory_order_relaxed);
+  ++generation_;
   ++compactions_;
 }
 
 StreamingSnapshot StreamingFlatView::Snapshot() const {
-  assert(!txn_.has_value() && "cannot snapshot inside an append transaction");
-  const FlatView::Storage& s = *storage_;
-  // Freeze: share the immutable compacted base, deep-copy the delta and
-  // moment arrays. O(delta + num_items), bounded by the compaction
-  // policy — never O(total units).
-  auto frozen = std::make_shared<FlatView::Storage>();
-  frozen->num_items = s.num_items;
-  frozen->full_size = s.full_size;
-  frozen->base_size = s.base_size;
-  frozen->base = s.base;
-  const std::uint64_t gen = s.generation.load(std::memory_order_relaxed);
-  frozen->generation.store(gen, std::memory_order_relaxed);
-  frozen->delta_txn_offsets = s.delta_txn_offsets;
-  frozen->delta_units = s.delta_units;
-  frozen->delta_tids = s.delta_tids;
-  frozen->delta_probs = s.delta_probs;
-  frozen->item_esup = s.item_esup;
-  frozen->item_sq_sum = s.item_sq_sum;
-  frozen->item_esup_acc = s.item_esup_acc;
-
+  assert(!in_append_txn() && "cannot snapshot inside an append transaction");
   StreamingSnapshot snap;
-  snap.generation_ = gen;
-  snap.watermark_ = s.full_size;
-  snap.view_ = FlatView(std::move(frozen), 0, s.full_size, gen);
+  snap.generation_ = generation_;
+  snap.watermark_ = storage_->full_size;
+  snap.view_ = View();
   return snap;
 }
 

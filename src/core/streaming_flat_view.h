@@ -1,14 +1,12 @@
 #ifndef UFIM_CORE_STREAMING_FLAT_VIEW_H_
 #define UFIM_CORE_STREAMING_FLAT_VIEW_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <vector>
 
-#include "common/math_util.h"
 #include "common/thread_annotations.h"
 #include "core/flat_view.h"
 #include "core/transaction.h"
@@ -52,16 +50,15 @@ struct CompactionPolicy {
   }
 };
 
-/// A frozen, self-contained snapshot of a `StreamingFlatView` at one
-/// storage generation, produced by `StreamingFlatView::Snapshot()`.
+/// A self-contained snapshot of a `StreamingFlatView` at one
+/// generation, produced by `StreamingFlatView::Snapshot()`.
 ///
 /// `view()` is a full `FlatView` over the stream's contents as of the
 /// snapshot: it stays valid — and mines bit-identically to mining that
 /// generation quiesced — across every subsequent `Append`/`Compact` on
-/// the source, with no coordination (the handle owns frozen storage
-/// that shares the immutable compacted base and deep-copies only the
-/// delta and moment arrays, so taking one is O(delta + num_items), not
-/// O(total)). Any number of threads may read one handle concurrently;
+/// the source, with no coordination (the handle shares the stream's
+/// published storage, which is never written once handed out, so taking
+/// one is O(1)). Any number of threads may read one handle concurrently;
 /// handles are cheap to copy and keep their storage alive
 /// independently of the source view's lifetime.
 class StreamingSnapshot {
@@ -69,10 +66,11 @@ class StreamingSnapshot {
   /// Empty snapshot (an empty stream at generation 0).
   StreamingSnapshot() = default;
 
-  /// The frozen full view. Free-threaded: never stale, never mutated.
+  /// The captured full view. Free-threaded: its storage is never
+  /// mutated.
   const FlatView& view() const { return view_; }
 
-  /// Storage generation the snapshot captured.
+  /// Stream generation the snapshot captured.
   std::uint64_t generation() const { return generation_; }
 
   /// Transactions in the stream when the snapshot was taken
@@ -92,8 +90,9 @@ class StreamingSnapshot {
 ///
 /// `Append(transactions)` assigns the next transaction ids and writes
 /// the new postings into a per-item *delta* region (horizontal CSR tail
-/// plus per-item posting tail vectors) in O(batch units) — no O(total
-/// units) rebuild. Because appended tids are strictly greater than every
+/// plus per-item posting tail vectors) in O(batch units), plus an
+/// O(delta + num_items) copy when the storage is shared (see "View
+/// validity") — no O(total units) rebuild. Because appended tids are strictly greater than every
 /// existing tid, each item's logical posting list is its base segment
 /// followed by its delta segment, and every `FlatView` accessor and join
 /// kernel walks that segment list transparently (see
@@ -109,29 +108,32 @@ class StreamingSnapshot {
 /// streaming differential harness (tests/testing/stream_harness.h)
 /// enforces this across append/compact/mine schedules.
 ///
-/// **View validity.** `View()` (and any slice or copy of it) reads the
-/// *live* storage: `Append`, `Compact` and `RollbackAppend` invalidate
-/// every previously obtained live view. That invalidation is no longer
-/// silent — each mutation bumps the storage generation, and in
-/// debug/sanitizer builds a stale view's next accessor aborts with a
-/// clear message (see `FlatView`'s storage-generations section). Code
-/// that must read *across* mutations takes a `Snapshot()` instead: the
-/// returned handle freezes the current contents (sharing the immutable
-/// compacted base, copying only the policy-bounded delta and moment
-/// arrays) and stays valid — and bit-identical in mining behaviour —
-/// through any number of subsequent appends and compactions.
-/// `Compact` cooperates by *copy-on-compact*: it builds the merged base
-/// into fresh storage and publishes that, leaving the retired
-/// generation's arrays untouched for whoever still holds them.
+/// **View validity (copy-on-write).** Published storage is immutable.
+/// `View()`, `Snapshot()` and an open append transaction each share the
+/// current storage; `Append` writes in place only into storage nobody
+/// shares, and otherwise first copies it (sharing the immutable
+/// compacted base, copying the policy-bounded delta and moment arrays)
+/// and publishes the copy. `Compact` builds the merged base into fresh
+/// storage (copy-on-compact). So a view — or any slice or copy of it —
+/// reads the contents it was taken at for as long as it lives, through
+/// any number of later appends, compactions and rollbacks, and
+/// `Snapshot()` is an O(1) handle around the same shared pointer.
+/// Whether storage is shared is a sticky flag that `View()`,
+/// `Snapshot()` and `BeginAppend` set and a fresh copy or compaction
+/// clears; it is deliberately not `shared_ptr::use_count()`, whose
+/// relaxed read orders nothing against a reader thread that just
+/// dropped its copy.
 ///
 /// **Single-writer contract (annotated).** At most one thread at a time
 /// — the serialized writer — may call `Append` / `Compact` / the
 /// `BeginAppend`/`CommitAppend`/`RollbackAppend` transaction protocol,
 /// or take a `Snapshot()`. The contract covers *mutators and snapshot
-/// acquisition only*: reading through a `StreamingSnapshot` handle
-/// needs no coordination with the writer at all (the handle's storage
-/// is frozen), which is what lets long-running mines overlap ingestion.
-/// Reading a live `View()` remains valid only until the next mutation.
+/// acquisition only*: reading through a view or a `StreamingSnapshot`
+/// handle needs no coordination with the writer at all (its storage is
+/// never written), which is what lets long-running mines overlap
+/// ingestion. Taking a `View()` reads the storage pointer a mutator
+/// replaces, so another thread takes one only where its own
+/// synchronization orders the call with the writer's.
 /// The contract is machine-checked by the `-Wthread-safety` CI leg:
 /// each mutator requires the `writer_role_` capability, which a caller
 /// claims via `AssertSoleWriter()` exactly where its own serialization
@@ -162,44 +164,40 @@ class StreamingFlatView {
   /// Compactions run so far (automatic + explicit).
   std::size_t compactions() const { return compactions_; }
 
-  /// Current storage generation: bumped by every mutation (Append of a
-  /// non-empty batch, RollbackAppend, Compact — which also advances to
-  /// freshly published storage). Monotonically increasing over the
-  /// stream's life; views and snapshots taken at an older generation
-  /// are stale / frozen respectively.
-  std::uint64_t generation() const {
-    return storage_->generation.load(std::memory_order_relaxed);
-  }
+  /// Current generation: bumped by every mutation (Append of a
+  /// non-empty batch, RollbackAppend, Compact of a non-empty delta).
+  /// Monotonically increasing over the stream's life; a snapshot records
+  /// the generation it captured.
+  std::uint64_t generation() const { return generation_; }
 
   const CompactionPolicy& policy() const { return policy_; }
 
   /// Appends `batch` as transactions [num_transactions(),
   /// num_transactions() + batch.size()), growing the item universe when
   /// a transaction introduces a previously-unseen item. O(batch units)
-  /// plus any triggered compaction. Invalidates existing views. Returns
-  /// true when the policy compacted.
+  /// when no view, snapshot or transaction shares the storage, plus
+  /// O(delta + num_items) to copy it first when one does, plus any
+  /// triggered compaction. Returns true when the policy compacted.
   bool Append(std::span<const Transaction> batch)
       UFIM_REQUIRES(writer_role_);
 
-  /// Merges the delta into the contiguous base (O(total units)); no-op
-  /// without a delta. Invalidates existing views. Mining results are
-  /// unaffected — compaction changes the physical layout only. Must not
-  /// be called inside an open append transaction.
+  /// Merges the delta into fresh contiguous storage (O(total units));
+  /// no-op without a delta. Existing views keep the storage they share.
+  /// Mining results are unaffected — compaction changes the physical
+  /// layout only. Must not be called inside an open append transaction.
   void Compact() UFIM_REQUIRES(writer_role_);
 
   /// Transactional append protocol, used by `DeltaMiner` to make a
-  /// failed mine-over-append recoverable. Between `BeginAppend()` and
-  /// `CommitAppend()`, `Append` writes into the delta as usual but
-  /// records an O(batch-distinct-items) undo log and defers any policy
-  /// compaction (a compaction would fold the uncommitted rows into the
-  /// base, where they could no longer be cheaply removed).
-  /// `RollbackAppend()` restores the exact pre-BeginAppend state —
-  /// posting tails, CSR tails, item universe and the persistent Kahan
-  /// moment accumulators are all bit-identical to before, so the
-  /// equivalence contract above keeps holding after a rollback.
-  /// `CommitAppend()` drops the undo log and runs the deferred
+  /// failed mine-over-append recoverable. `BeginAppend()` keeps the
+  /// current storage pointer (so the transaction shares it, and the
+  /// first `Append` inside copies before writing); between it and
+  /// `CommitAppend()`, `Append` defers any policy compaction.
+  /// `RollbackAppend()` restores the kept pointer — the exact
+  /// pre-BeginAppend storage, Kahan moment accumulators included, so
+  /// the equivalence contract above keeps holding after a rollback.
+  /// `CommitAppend()` drops the kept pointer, then runs the deferred
   /// compaction check; like `Append` it returns true when it compacted.
-  /// Both close the transaction; both invalidate existing views.
+  /// Both close the transaction.
   void BeginAppend() UFIM_REQUIRES(writer_role_);
   bool CommitAppend() UFIM_REQUIRES(writer_role_);
   void RollbackAppend() UFIM_REQUIRES(writer_role_);
@@ -211,53 +209,35 @@ class StreamingFlatView {
   void AssertSoleWriter() const UFIM_ASSERT_CAPABILITY(writer_role_) {}
 
   /// True between BeginAppend and Commit/RollbackAppend. Part of the
-  /// writer protocol (it reads the undo log), so writer-gated too.
+  /// writer protocol, so writer-gated too.
   bool in_append_txn() const UFIM_REQUIRES(writer_role_) {
-    return txn_.has_value();
+    return txn_base_ != nullptr;
   }
 
-  /// Full *live* view over everything appended so far. Valid until the
-  /// next Append/Compact/RollbackAppend; after that, any accessor on it
-  /// aborts in debug/sanitizer builds (stale-view check). To read
-  /// across mutations, take a Snapshot() instead.
+  /// Full view over everything appended so far. It keeps reading these
+  /// contents through any later mutation of the stream (see "View
+  /// validity"); re-take it to see later appends.
   [[nodiscard]] FlatView View() const {
-    return FlatView(storage_, 0, storage_->full_size,
-                    storage_->generation.load(std::memory_order_relaxed));
+    shared_.store(true, std::memory_order_relaxed);
+    return FlatView(storage_, 0, storage_->full_size);
   }
 
-  /// Freezes the current contents into a self-contained handle (see
-  /// `StreamingSnapshot`). O(delta + num_items): shares the immutable
-  /// compacted base, deep-copies the delta region and moment arrays.
-  /// Part of the writer protocol — snapshot *acquisition* observes the
-  /// delta mid-construction if it raced a mutator, so it is serialized
-  /// with mutations; the returned handle itself is free-threaded.
-  /// Must not be called inside an open append transaction.
+  /// An O(1) handle around the current storage (see
+  /// `StreamingSnapshot`). Part of the writer protocol — it reads the
+  /// storage pointer a mutator replaces, so it is serialized with
+  /// mutations; the returned handle itself is free-threaded. Must not
+  /// be called inside an open append transaction.
   [[nodiscard]] StreamingSnapshot Snapshot() const
       UFIM_REQUIRES(writer_role_);
 
  private:
-  /// Undo log for one open append transaction: the scalar watermarks plus
-  /// a pre-touch snapshot of every item the appends dirtied (posting-tail
-  /// length and the three moment cells, including the Kahan compensation
-  /// term — restoring the accumulator object restores the exact bits).
-  struct AppendTxn {
-    std::size_t full_size = 0;
-    std::size_t num_items = 0;
-    std::size_t delta_units = 0;
-    std::size_t delta_txn_offsets = 0;
-    struct ItemSnapshot {
-      ItemId item = 0;
-      std::size_t delta_len = 0;
-      KahanSum esup_acc;
-      double esup = 0.0;
-      double sq_sum = 0.0;
-    };
-    std::vector<ItemSnapshot> items;
-  };
-
-  /// Records `item`'s pre-append state in the open transaction's undo
-  /// log, once per distinct item.
-  void SnapshotForTxn(ItemId item) UFIM_REQUIRES(writer_role_);
+  /// A copy of `s` that shares its base and has room for `batch`: every
+  /// copied array is allocated once at its post-append size, from one
+  /// counting pass over the batch, so the Append that follows never
+  /// regrows (and so never copies the delta a second time).
+  static std::shared_ptr<FlatView::Storage> CopyForAppend(
+      const FlatView::Storage& s, std::span<const Transaction> batch,
+      std::size_t num_items);
 
   /// Runs the policy check against the current delta and compacts when
   /// it says so; returns true when it compacted. The single home of the
@@ -266,11 +246,16 @@ class StreamingFlatView {
   bool MaybeCompact() UFIM_REQUIRES(writer_role_);
 
   std::shared_ptr<FlatView::Storage> storage_;
+  /// True once `storage_` may be read by someone else — set by View(),
+  /// Snapshot() and BeginAppend, cleared when a copy or compaction
+  /// publishes fresh storage. Atomic because View() is const and not
+  /// writer-gated.
+  mutable std::atomic<bool> shared_{false};
+  /// The pre-BeginAppend storage while a transaction is open, else null.
+  std::shared_ptr<FlatView::Storage> txn_base_ UFIM_GUARDED_BY(writer_role_);
+  std::uint64_t generation_ = 0;
   CompactionPolicy policy_;
   std::size_t compactions_ = 0;
-  /// Open-transaction undo log; touched only through the writer-gated
-  /// transaction protocol above.
-  std::optional<AppendTxn> txn_ UFIM_GUARDED_BY(writer_role_);
 
   /// The "I am the one serialized writer" capability (see class comment).
   Role writer_role_;

@@ -1,7 +1,8 @@
 // Edge cases of the streaming delta path: append-to-empty, unseen-item
 // universe growth, compaction trigger boundaries, slices cut across the
 // base/delta seam, seam-straddling join batches, and moment-cache
-// consistency across appends and compactions. The broad randomized
+// consistency across appends and compactions, and views that outlive
+// later mutations of their stream. The broad randomized
 // coverage lives in the streaming differential harness
 // (tests/integration/streaming_equivalence_test.cc); these tests pin the
 // named corners deterministically.
@@ -27,14 +28,17 @@ Transaction Txn(std::vector<ProbItem> units) {
   return Transaction(std::move(units));
 }
 
-/// Asserts that `view` is observationally identical — bit for bit — to a
-/// FlatView built from scratch over the same transactions: layouts,
-/// cached moments, and join results may not reveal the delta.
+/// Asserts that `view` is observationally identical — bit for bit — to
+/// the same transaction range of a FlatView built from scratch over
+/// `txns`, the stream's transactions when the view was taken: layouts,
+/// cached moments, and join results may not reveal the delta. `view`
+/// may be a slice.
 void ExpectMatchesRebuild(const FlatView& view,
                           const std::vector<Transaction>& txns,
                           const std::string& label) {
   const UncertainDatabase db{std::vector<Transaction>(txns)};
-  const FlatView rebuilt(db);
+  const FlatView rebuilt =
+      FlatView(db).Slice(view.begin_tid(), view.end_tid());
 
   ASSERT_EQ(view.num_transactions(), rebuilt.num_transactions()) << label;
   EXPECT_EQ(view.num_items(), rebuilt.num_items()) << label;
@@ -329,8 +333,8 @@ TEST(StreamingFlatViewTest, GenerationAdvancesOnEveryMutation) {
   sv.Compact();
   EXPECT_EQ(sv.generation(), after_compact);
 
-  // A rollback restores the pre-transaction bits but still counts as a
-  // mutation: views handed out inside the transaction must not survive.
+  // A rollback restores the pre-transaction storage but still counts as
+  // a mutation: the stream's contents moved back.
   sv.BeginAppend();
   sv.Append(batch);
   const std::uint64_t in_txn = sv.generation();
@@ -392,47 +396,64 @@ TEST(StreamingFlatViewTest, SnapshotSurvivesAppendAndCompact) {
   ExpectMatchesRebuild(orphan.view(), at_snapshot, "orphan-snapshot");
 }
 
-#if UFIM_STALE_VIEW_CHECKS
+TEST(StreamingFlatViewTest, LiveViewSurvivesMutations) {
+  Rng rng(808);
+  StreamBatchSpec spec;
+  spec.num_items = 8;
+  std::vector<Transaction> all = MakeStreamBatch(rng, spec, 6);
+  CompactionPolicy never;
+  never.max_delta_ratio = 1e9;
+  never.min_delta_units = ~std::size_t{0};
+  StreamingFlatView sv{UncertainDatabase{std::vector<Transaction>(all)},
+                       never};
+  sv.AssertSoleWriter();  // single-threaded test body: sole writer
+  const auto append = [&](std::size_t n) {
+    const std::vector<Transaction> batch = MakeStreamBatch(rng, spec, n);
+    all.insert(all.end(), batch.begin(), batch.end());
+    sv.Append(batch);
+  };
 
-TEST(StreamingFlatViewDeathTest, StaleViewAfterAppendAborts) {
-  StreamingFlatView sv;
-  sv.AssertSoleWriter();
-  const std::vector<Transaction> seed = {Txn({{0, 0.5}}), Txn({{1, 0.75}})};
-  const std::vector<Transaction> more = {Txn({{0, 0.25}})};
-  sv.Append(seed);
-  const FlatView stale = sv.View();
-  sv.Append(more);
-  EXPECT_DEATH(stale.ItemExpectedSupport(0), "stale view");
-}
+  // A view (and a slice across the base/delta seam) held over an Append.
+  append(5);
+  const std::vector<Transaction> at_append = all;
+  const FlatView append_view = sv.View();
+  const FlatView append_slice = append_view.Slice(3, 9);
+  append(4);
 
-TEST(StreamingFlatViewDeathTest, StaleViewAfterCompactAborts) {
-  StreamingFlatView sv;
-  sv.AssertSoleWriter();
-  const std::vector<Transaction> seed = {Txn({{0, 0.5}}), Txn({{1, 0.75}})};
-  sv.Append(seed);
-  const FlatView stale = sv.View();
-  const FlatView stale_slice = stale.Slice(0, 1);
+  // ... over a Compact.
+  const std::vector<Transaction> at_compact = all;
+  const FlatView compact_view = sv.View();
+  const FlatView compact_slice = compact_view.Slice(5, 13);
   sv.Compact();
-  EXPECT_DEATH(stale.TransactionUnits(0), "stale view");
-  // Slices inherit the birth generation: a pre-mutation slice is just
-  // as stale as its parent.
-  EXPECT_DEATH(stale_slice.TransactionUnits(0), "stale view");
-}
+  append(4);
 
-TEST(StreamingFlatViewDeathTest, SnapshotViewNeverTrips) {
-  StreamingFlatView sv;
-  sv.AssertSoleWriter();
-  const std::vector<Transaction> seed = {Txn({{0, 0.5}}), Txn({{1, 0.75}})};
-  const std::vector<Transaction> more = {Txn({{0, 0.25}})};
-  sv.Append(seed);
-  const StreamingSnapshot snap = sv.Snapshot();
-  sv.Append(more);
+  // ... over a rolled-back transaction, plus a view taken inside it.
+  const std::vector<Transaction> at_txn = all;
+  const FlatView txn_view = sv.View();
+  const FlatView txn_slice = txn_view.Slice(12, 17);
+  sv.BeginAppend();
+  std::vector<Transaction> in_txn = all;
+  const std::vector<Transaction> discarded = MakeStreamBatch(rng, spec, 5);
+  in_txn.insert(in_txn.end(), discarded.begin(), discarded.end());
+  sv.Append(discarded);
+  const FlatView inside_view = sv.View();
+  const FlatView inside_slice = inside_view.Slice(13, 22);
+  sv.RollbackAppend();
+  ASSERT_EQ(sv.num_transactions(), all.size());
+
+  // The stream moves on; every held view still reads its own contents.
+  append(3);
   sv.Compact();
-  // Frozen storage's generation never moves, so the check passes.
-  EXPECT_EQ(snap.view().ItemExpectedSupport(0), 0.5);
+  ExpectMatchesRebuild(append_view, at_append, "view-over-append");
+  ExpectMatchesRebuild(append_slice, at_append, "slice-over-append");
+  ExpectMatchesRebuild(compact_view, at_compact, "view-over-compact");
+  ExpectMatchesRebuild(compact_slice, at_compact, "slice-over-compact");
+  ExpectMatchesRebuild(txn_view, at_txn, "view-over-rollback");
+  ExpectMatchesRebuild(txn_slice, at_txn, "slice-over-rollback");
+  ExpectMatchesRebuild(inside_view, in_txn, "view-inside-rollback");
+  ExpectMatchesRebuild(inside_slice, in_txn, "slice-inside-rollback");
+  ExpectMatchesRebuild(sv.View(), all, "current");
 }
-
-#endif  // UFIM_STALE_VIEW_CHECKS
 
 TEST(StreamingFlatViewTest, MomentCachesConsistentAfterCompaction) {
   Rng rng(555);

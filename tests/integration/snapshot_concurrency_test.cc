@@ -1,13 +1,13 @@
-// TSan concurrent-reader matrix for snapshot handles: miners run over a
-// StreamingSnapshot while a live writer thread appends and
-// force-compacts the source view, at {1,2,8} miner threads under every
-// intersection kernel. The snapshot mine must be bit-identical —
-// results and MiningCounters — to mining the same handle quiesced
-// (before the writer starts and after it joins). A second leg pins
-// DeltaMiner::MineNext against explicit Compact() calls racing its
-// recount phase. Run under ThreadSanitizer in CI (the copy-on-compact
-// publication and the frozen-snapshot reads are exactly the shared
-// state TSan needs to see).
+// TSan concurrent-reader matrix for snapshot handles and views: miners
+// run over a StreamingSnapshot and a View() taken beside it while a live
+// writer thread appends and force-compacts the source, at {1,2,8} miner
+// threads under every intersection kernel. Both mines must be
+// bit-identical — results and MiningCounters — to mining the snapshot
+// quiesced (before the writer starts and after it joins). A second leg
+// pins DeltaMiner::MineNext against explicit Compact() calls racing its
+// recount phase. Run under ThreadSanitizer in CI (the copy-on-write and
+// copy-on-compact publication and the reads of shared storage are
+// exactly the shared state TSan needs to see).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -89,6 +89,7 @@ TEST_P(SnapshotConcurrencyTest, MineOverSnapshotWithLiveWriter) {
       sv.Append(MakeStreamBatch(rng, spec, 6));
     }
     const StreamingSnapshot snap = sv.Snapshot();
+    const FlatView held_view = sv.View();
 
     MinerOptions options;
     options.num_threads = threads;
@@ -119,16 +120,22 @@ TEST_P(SnapshotConcurrencyTest, MineOverSnapshotWithLiveWriter) {
       }
     });
 
-    // Concurrent mine over the frozen handle, racing the writer.
+    // Concurrent mines over the frozen handle and the held view, racing
+    // the writer.
     Result<MiningResult> live = miner->Mine(snap.view(), task);
+    Result<MiningResult> live_view = miner->Mine(held_view, task);
     writer.join();
     ASSERT_TRUE(live.ok()) << label << ": " << live.status().ToString();
+    ASSERT_TRUE(live_view.ok())
+        << label << ": " << live_view.status().ToString();
 
     // Quiesced re-mine after the writer finished.
     Result<MiningResult> after = miner->Mine(snap.view(), task);
     ASSERT_TRUE(after.ok()) << label << ": " << after.status().ToString();
 
     ExpectBitIdentical(live.value(), baseline.value(), label + " live");
+    ExpectBitIdentical(live_view.value(), baseline.value(),
+                       label + " live view");
     ExpectBitIdentical(after.value(), baseline.value(), label + " after");
     if (::testing::Test::HasFatalFailure()) return;
   }

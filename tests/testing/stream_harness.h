@@ -79,12 +79,14 @@ struct StreamScheduleSpec {
 ///     (both of its miners carry them). The replay also counts *driver
 ///     flips*: a pooled itemset of three or more items whose join driver
 ///     differs from the one at the previous recount.
-///  4. **Snapshot immutability (bit-identical):** schedule steps take
-///     `Snapshot()` handles mid-stream and record a baseline mined over
-///     each at capture time; after the whole schedule — every later
-///     append, policy compaction, and forced compaction — each handle is
-///     re-mined and must reproduce its baseline bit for bit (results and
-///     `MiningCounters`), proving mutations never touch frozen storage.
+///  4. **Snapshot and view immutability (bit-identical):** schedule
+///     steps take a `Snapshot()` handle and a live `View()` mid-stream
+///     and record a baseline mined over the snapshot at capture time;
+///     after the whole schedule — every later append, policy
+///     compaction, and forced compaction — both are re-mined and must
+///     reproduce that baseline bit for bit (results and
+///     `MiningCounters`) and report the same item universe, proving
+///     mutations never touch storage that was handed out.
 ///
 /// `final_result`, when given, receives the final streaming result so
 /// callers can additionally pin bit-equality across thread counts;
@@ -142,6 +144,8 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
   struct TakenSnapshot {
     std::size_t op = 0;
     StreamingSnapshot snap;
+    FlatView live;  ///< a View() taken beside the snapshot
+    std::size_t num_items = 0;  ///< the item universe at capture
     MiningResult at_capture;
   };
   std::vector<TakenSnapshot> snapshots;
@@ -232,8 +236,9 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
     }
     ExpectSameCounters(a.value().counters(), replayed.counters(), label);
 
-    // Snapshot step: freeze the streaming state and record a bitwise
-    // baseline over the frozen view; checked again after the schedule.
+    // Snapshot step: hold the streaming state as a snapshot and as a
+    // live view, and record a bitwise baseline over the snapshot;
+    // checked again after the schedule.
     if (take_snapshot[op]) {
       // Single-threaded schedule: this thread is the sole writer, so it
       // may also acquire snapshots.
@@ -241,6 +246,8 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
       TakenSnapshot taken;
       taken.op = op;
       taken.snap = streaming.value()->view().Snapshot();
+      taken.live = streaming.value()->view().View();
+      taken.num_items = taken.live.num_items();
       Result<MiningResult> at_capture =
           plain->Mine(taken.snap.view(), MiningTask(params));
       ASSERT_TRUE(at_capture.ok())
@@ -252,14 +259,20 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
     if (final_result != nullptr) *final_result = std::move(a).value();
   }
 
-  // Every snapshot taken along the way must re-mine bit-identically to
-  // its capture-time baseline, whatever the stream did afterwards.
-  for (const TakenSnapshot& taken : snapshots) {
-    const std::string label = "seed=" + std::to_string(spec.seed) +
-                              " snapshot-op=" + std::to_string(taken.op) +
+  // Every snapshot and live view taken along the way must re-mine
+  // bit-identically to its capture-time baseline, whatever the stream
+  // did afterwards.
+  const auto expect_baseline = [&](const TakenSnapshot& taken,
+                                   const FlatView& view,
+                                   const std::string& kind) {
+    const std::string label = "seed=" + std::to_string(spec.seed) + " " +
+                              kind + "-op=" + std::to_string(taken.op) +
                               " threads=" + std::to_string(num_threads);
-    Result<MiningResult> again =
-        plain->Mine(taken.snap.view(), MiningTask(params));
+    // An append into storage a view shares would leave the re-mine
+    // intact (the view reads only its own transactions) but grow the
+    // universe it reports.
+    EXPECT_EQ(view.num_items(), taken.num_items) << label;
+    Result<MiningResult> again = plain->Mine(view, MiningTask(params));
     ASSERT_TRUE(again.ok()) << label << ": " << again.status().ToString();
     ASSERT_EQ(again.value().size(), taken.at_capture.size()) << label;
     for (std::size_t i = 0; i < taken.at_capture.size(); ++i) {
@@ -273,6 +286,10 @@ inline void RunStreamDifferential(const StreamScheduleSpec& spec,
     }
     ExpectSameCounters(again.value().counters(), taken.at_capture.counters(),
                        label);
+  };
+  for (const TakenSnapshot& taken : snapshots) {
+    expect_baseline(taken, taken.snap.view(), "snapshot");
+    expect_baseline(taken, taken.live, "live-view");
   }
 }
 
