@@ -10,14 +10,22 @@
 //   * a full UApriori run through the unified Miner facade, view
 //     prebuilt vs built inside the timed region (view construction
 //     amortization).
+//
+// Also measured: ReadDataset, the set-up step before any view exists, on
+// files WriteDataset wrote for a Kosarak-like 100k and an Accident-like
+// 20k database (the sizes of the benchmark's esup and prob workloads).
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "algo/apriori_framework.h"
 #include "bench_datasets.h"
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
+#include "io/dataset_io.h"
 
 namespace ufim::bench {
 namespace {
@@ -99,6 +107,41 @@ BENCHMARK(BM_UAprioriWithViewBuild)
     ->Unit(benchmark::kMillisecond)
     ->Arg(2000)
     ->Arg(10000);
+
+/// Arg 0: Kosarak-like 100k transactions; arg 1: Accident-like 20k.
+void BM_ReadDataset(benchmark::State& state) {
+  const bool kosarak = state.range(0) == 0;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       (kosarak ? "bench_read_kosarak.udb" : "bench_read_accident.udb"))
+          .string();
+  const UncertainDatabase written =
+      kosarak ? KosarakDb(100000) : AccidentDb(20000);
+  if (!WriteDataset(written, path).ok()) {
+    state.SkipWithError("cannot write the dataset file");
+    return;
+  }
+  std::size_t units = 0;
+  for (const Transaction& t : written) units += t.size();
+  const double file_mb =
+      static_cast<double>(std::filesystem::file_size(path)) / 1e6;
+  for (auto _ : state) {
+    Result<UncertainDatabase> db = ReadDataset(path);
+    if (!db.ok()) {
+      state.SkipWithError(db.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(db);
+  }
+  std::remove(path.c_str());
+  state.SetLabel(kosarak ? "kosarak100k" : "accident20k");
+  state.counters["file_MB"] = file_mb;
+  state.counters["units"] = static_cast<double>(units);
+  state.counters["MB_per_s"] = benchmark::Counter(
+      file_mb * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ReadDataset)->Unit(benchmark::kMillisecond)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace ufim::bench

@@ -5,6 +5,17 @@
 namespace ufim {
 
 Transaction::Transaction(std::vector<ProbItem> units) : units_(std::move(units)) {
+  // Units that are already canonical (strictly increasing ids, every p in
+  // (0,1]) are kept as they are; the loader's lines almost always are.
+  const auto canonical = [&] {
+    for (std::size_t i = 0; i < units_.size(); ++i) {
+      const ProbItem& u = units_[i];
+      if (!(u.prob > 0.0 && u.prob <= 1.0)) return false;
+      if (i > 0 && units_[i - 1].item >= u.item) return false;
+    }
+    return true;
+  };
+  if (canonical()) return;
   std::stable_sort(units_.begin(), units_.end(),
                    [](const ProbItem& a, const ProbItem& b) { return a.item < b.item; });
   // Deduplicate by item, keeping the last occurrence, dropping p <= 0.

@@ -20,6 +20,7 @@ class Transaction {
 
   /// Constructs from arbitrary units: sorts by item, drops prob <= 0,
   /// clamps prob to at most 1, and keeps the last unit on duplicate items.
+  /// Units already in that form are kept without a copy.
   explicit Transaction(std::vector<ProbItem> units);
 
   std::size_t size() const { return units_.size(); }

@@ -19,6 +19,18 @@ TEST(TransactionTest, DropsNonPositiveProbabilities) {
   EXPECT_EQ(t[0].item, 3u);
 }
 
+TEST(TransactionTest, SortedUnitsStillDropZeroAndClampAboveOne) {
+  // Ids already strictly increasing: the units are kept as they are only
+  // when every probability is also in (0,1].
+  Transaction zero({{1, 0.5}, {2, 0.0}, {4, 1.0}});
+  ASSERT_EQ(zero.size(), 2u);
+  EXPECT_EQ(zero[0].item, 1u);
+  EXPECT_EQ(zero[1].item, 4u);
+  Transaction above({{1, 0.5}, {3, 1.5}});
+  ASSERT_EQ(above.size(), 2u);
+  EXPECT_EQ(above[1].prob, 1.0);
+}
+
 TEST(TransactionTest, ClampsProbabilitiesAboveOne) {
   Transaction t({{1, 1.5}});
   ASSERT_EQ(t.size(), 1u);

@@ -1,5 +1,6 @@
 #include "io/dataset_io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -49,6 +50,57 @@ TEST_F(DatasetIoTest, ParseRejectsSignedAndOutOfRangeItemIds) {
   Result<Transaction> largest = ParseTransactionLine("4294967295:0.5");
   ASSERT_TRUE(largest.ok());
   EXPECT_EQ((*largest)[0].item, 4294967295u);
+}
+
+TEST_F(DatasetIoTest, ParseRejectsSignedHexAndNonFiniteProbabilities) {
+  // Decimal probabilities only: from_chars would read "-0" and "inf", so
+  // the parser rejects any sign itself.
+  EXPECT_FALSE(ParseTransactionLine("1:+0.5").ok());
+  EXPECT_FALSE(ParseTransactionLine("1:-0").ok());
+  EXPECT_FALSE(ParseTransactionLine("1:0x1p-1").ok());
+  EXPECT_FALSE(ParseTransactionLine("1:inf").ok());
+  EXPECT_FALSE(ParseTransactionLine("1:infinity").ok());
+  EXPECT_FALSE(ParseTransactionLine("1:1e-400").ok());
+  EXPECT_FALSE(ParseTransactionLine("1:1e400").ok());
+  Result<Transaction> forms = ParseTransactionLine("1:.5 2:5e-1 3:1. 4:0.50");
+  ASSERT_TRUE(forms.ok()) << forms.status().ToString();
+  for (const ProbItem& u : *forms) EXPECT_EQ(u.prob, u.item == 3 ? 1.0 : 0.5);
+}
+
+TEST_F(DatasetIoTest, SubnormalProbabilitySurvivesRoundTrip) {
+  // A Transaction may hold a subnormal probability, so the format must
+  // read back what WriteDataset writes for it.
+  const double tiny = 1e-310;
+  ASSERT_TRUE(std::fpclassify(tiny) == FP_SUBNORMAL);
+  Transaction t({{4, tiny}});
+  Result<Transaction> parsed = ParseTransactionLine(FormatTransactionLine(t));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(*parsed, t);
+}
+
+TEST_F(DatasetIoTest, ReadRejectsSparseIdsAboveTheLoaderBound) {
+  // A view sizes per-item arrays by the largest id: one sparse id must be
+  // an InvalidArgument naming its line, not a multi-gigabyte allocation.
+  const std::string path = TempPath("sparse.udb");
+  const auto read_lines = [&](const std::string& text) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    return ReadDataset(path);
+  };
+  Result<UncertainDatabase> sparse =
+      read_lines("0:0.5\n4000000000:0.5 1:0.5\n");
+  ASSERT_FALSE(sparse.ok());
+  EXPECT_EQ(sparse.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sparse.status().message().find("line 2"), std::string::npos)
+      << sparse.status().message();
+  EXPECT_FALSE(read_lines(std::to_string(kMaxItemId + 1) + ":0.5\n").ok());
+  Result<UncertainDatabase> at_bound =
+      read_lines(std::to_string(kMaxItemId) + ":0.5\n");
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  EXPECT_EQ(at_bound->num_items(), std::size_t{kMaxItemId} + 1);
+  std::remove(path.c_str());
 }
 
 TEST_F(DatasetIoTest, ParseNamesTheRepeatedItem) {
@@ -106,6 +158,14 @@ TEST_F(DatasetIoTest, ReadReportsLineNumberOnError) {
 
 TEST_F(DatasetIoTest, ReadMissingFileIsIOError) {
   Result<UncertainDatabase> loaded = ReadDataset("/nonexistent/nowhere.udb");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+}
+
+TEST_F(DatasetIoTest, ReadDirectoryIsIOError) {
+  // A directory opens but reports a meaningless size; reading it must be
+  // an IOError, not an allocation of that size.
+  Result<UncertainDatabase> loaded = ReadDataset(testing::TempDir());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
 }
