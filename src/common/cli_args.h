@@ -23,7 +23,7 @@ struct FlagSpec {
 /// Parsing is strict where it used to be permissive, closing two classes
 /// of silent misconfiguration:
 ///   * numeric accessors validate the *full* token — `--threads abc`
-///     and `--shards -1` are errors, not 0 and ~1.8e19 (the old
+///     and `--batch -1` are errors, not 0 and ~1.8e19 (the old
 ///     atoll/atof behaviour);
 ///   * `Validate` rejects flags a subcommand does not know, so a typo
 ///     like `--thread 4` fails loudly instead of silently dropping both

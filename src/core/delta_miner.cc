@@ -1,12 +1,14 @@
 #include "core/delta_miner.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/thread_pool.h"
 #include "core/miner_registry.h"
-#include "core/sharded_miner.h"
+#include "core/types.h"
 
 namespace ufim {
 
@@ -33,6 +35,70 @@ class AppendTxnGuard {
 
 }  // namespace
 
+void RecountExpectedCandidates(const FlatView& view,
+                               const std::vector<Itemset>& singles,
+                               const std::vector<Itemset>& larger,
+                               double threshold, std::size_t num_threads,
+                               MiningResult& result, const RunContext* context,
+                               std::span<RecountState> states) {
+  PollRunContext(context);  // checkpoint: recount phase entry
+  ++result.counters().database_scans;
+  result.counters().candidates_generated += singles.size() + larger.size();
+
+  for (const Itemset& s : singles) {
+    const ItemId item = s.items().front();
+    const double esup = view.ItemExpectedSupport(item);
+    if (esup >= threshold) {
+      FrequentItemset fi;
+      fi.itemset = s;
+      fi.expected_support = esup;
+      fi.variance = esup - view.ItemSquaredSum(item);
+      result.Add(std::move(fi));
+    }
+  }
+
+  const std::size_t n_txn = view.num_transactions();
+  std::vector<std::pair<double, double>> moments(larger.size());
+  // Workers claim one candidate at a time; each join runs whole on one
+  // worker through that worker's scratch, so the moments are the
+  // sequential ones at every thread count.
+  std::vector<JoinScratch> scratches(
+      ParallelWorkerCount(larger.size(), num_threads));
+  ParallelForDynamic(
+      larger.size(), num_threads,
+      [&](std::size_t c, std::size_t worker) {
+        PollRunContext(context);  // checkpoint: one per recounted candidate
+        RecountState fresh;
+        RecountState& st = states.empty() ? fresh : states[c];
+        const std::size_t driver = view.JoinDriver(larger[c]);
+        if (driver != st.driver && larger[c].size() > 2) st = RecountState{};
+        st.driver = driver;
+        view.Slice(st.counted_upto, n_txn)
+            .JoinPostingsBatched(
+                larger[c], scratches[worker],
+                [&](const JoinBatch& b) {
+                  for (const double prod : b.prods) {
+                    st.esup.Add(prod);
+                    st.sq_sum += prod * prod;
+                  }
+                  return true;
+                },
+                driver);
+        st.counted_upto = n_txn;
+        moments[c] = {st.esup.value(), st.sq_sum};
+      },
+      context);
+  for (std::size_t c = 0; c < larger.size(); ++c) {
+    if (moments[c].first >= threshold) {
+      FrequentItemset fi;
+      fi.itemset = larger[c];
+      fi.expected_support = moments[c].first;
+      fi.variance = moments[c].first - moments[c].second;
+      result.Add(std::move(fi));
+    }
+  }
+}
+
 DeltaMiner::DeltaMiner(std::unique_ptr<Miner> inner,
                        ExpectedSupportParams params, CompactionPolicy policy,
                        std::size_t num_threads)
@@ -43,8 +109,7 @@ DeltaMiner::DeltaMiner(std::unique_ptr<Miner> inner,
       view_(policy) {}
 
 void DeltaMiner::set_run_context(RunContext context) {
-  // Same propagation contract as ShardedMiner::set_run_context: the
-  // delta miner is the inner miner's only driver, so "no MineNext in
+  // The delta miner is the inner miner's only driver, so "no MineNext in
   // flight" (the caller's obligation) implies the inner config phase.
   inner_->AssertConfigPhase();
   inner_->set_run_context(context);  // copies share the token
@@ -57,6 +122,16 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
   if (!inner_->Supports(task)) {
     return Status::InvalidArgument(
         name_ + " needs an expected-support inner miner");
+  }
+  // Units are sorted, so a transaction's last unit holds its largest id.
+  // Rejected before BeginAppend: the view would size its per-item arrays
+  // by such an id.
+  for (const Transaction& t : batch) {
+    if (!t.empty() && t.units().back().item > kMaxItemId) {
+      return Status::InvalidArgument(
+          "item id " + std::to_string(t.units().back().item) +
+          " above the largest loadable id " + std::to_string(kMaxItemId));
+    }
   }
 
   // The guard converts recount-phase checkpoint throws into a clean
@@ -95,9 +170,8 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
 
         // Phase 1: mine the appended suffix as its own SON shard, at
         // the same min_esup ratio (the shard threshold is ratio *
-        // |shard|, exactly as ShardedMiner's static shards). The slice
-        // spans the base/delta seam transparently, so this works
-        // identically pre- and post-compaction.
+        // |shard|). The slice spans the base/delta seam transparently,
+        // so this works identically pre- and post-compaction.
         const FlatView suffix = full.Slice(mined_upto_, n_txn);
         Result<MiningResult> local = inner_->Mine(suffix, task);
         UFIM_RETURN_IF_ERROR(local.status());

@@ -8,18 +8,66 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
+#include "common/math_util.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "core/miner.h"
-#include "core/sharded_miner.h"
 #include "core/streaming_flat_view.h"
 
 namespace ufim {
 
-/// Incremental mining driver over a `StreamingFlatView`: the streaming
-/// counterpart of `ShardedMiner`'s SON scheme, with the shard structure
-/// given by arrival order instead of a static partition.
+/// One size->=2 candidate's running recount: its expected-support Kahan
+/// state and plain Σp² over the first `counted_upto` transactions of the
+/// view it was counted on, and the join driver (`FlatView::JoinDriver`
+/// member index) that produced them. A default state has counted
+/// nothing. The recount continues it over the view's newer transactions
+/// only; its whole state is these fields, so carrying it forward by
+/// value gives exactly the bits of a recount from scratch.
+struct RecountState {
+  KahanSum esup;
+  double sq_sum = 0.0;
+  std::size_t counted_upto = 0;
+  std::size_t driver = 0;
+};
+
+/// Phase 2 of `DeltaMiner`'s SON (partition) scheme: exact recount of a
+/// candidate union over the full view. `singles` and `larger` are
+/// canonically sorted, deduplicated candidate itemsets of size 1 / >= 2.
+/// Singletons come straight off the view's cached moments; larger sets
+/// are posting joins partitioned by candidate, so the ascending-tid Kahan
+/// accumulation is the sequential one regardless of thread count.
+/// Appends itemsets with expected support >= `threshold` (absolute) to
+/// `result` with their exact full-view moments, and bumps its counters
+/// (one database scan, one generated candidate each). Public so that
+/// reference replays of a stream recount with the very code `DeltaMiner`
+/// runs. `context` (optional) is polled once per size->=2 candidate join;
+/// a tripped token unwinds with RunAbortedError, which the calling
+/// miner's guarded facade converts to a Status.
+///
+/// `states`, when non-empty, holds one running state per `larger`
+/// candidate (parallel to it), each counted over a prefix of this same
+/// growing stream (`counted_upto` <= the view's size). A candidate then
+/// joins only the view's transactions past `counted_upto`, driven from
+/// the full view's current driver, and its state is advanced in place to
+/// cover the whole view. If that driver differs from the state's and the
+/// candidate has three or more items, the product order has changed, so
+/// the state restarts from zero (a pair's single multiplication commutes
+/// and never restarts). The moments equal an empty-`states` recount's
+/// bit for bit. On a throw the states may be partly advanced; callers
+/// pass a copy and keep it only on success.
+void RecountExpectedCandidates(const FlatView& view,
+                               const std::vector<Itemset>& singles,
+                               const std::vector<Itemset>& larger,
+                               double threshold, std::size_t num_threads,
+                               MiningResult& result,
+                               const RunContext* context = nullptr,
+                               std::span<RecountState> states = {});
+
+/// Incremental mining driver over a `StreamingFlatView`: the SON
+/// (partition) scheme, with the shards given by arrival order. It is
+/// the library's only shard-and-recount driver.
 ///
 /// `MineNext(batch)` appends the batch, mines the *appended suffix* as
 /// its own shard with the inner miner at the same min_esup ratio, unions
@@ -56,17 +104,17 @@ namespace ufim {
 /// lists transparently. Results and counters are bit-identical whatever
 /// the compaction policy (the streaming differential harness pins this).
 ///
-/// Only expected-support tasks are supported — the same additivity
-/// restriction as `ShardedMiner`.
+/// Only expected-support tasks are supported: expected support is
+/// additive across shards, which is what makes the local-threshold union
+/// argument sound. Probabilistic frequentness is not additive.
 ///
 /// **Batch sizing.** The per-shard threshold is min_esup * |batch|;
 /// when that drops below ~1 expected occurrence, *every* itemset a
 /// transaction contains is locally frequent and the candidate pool
-/// explodes combinatorially — the classic SON degenerate regime, shared
-/// with very small `ShardedMiner` shards. Keep batches large enough
-/// that min_esup * batch_size stays comfortably above 1 (a few
-/// occurrences); the pool then stays small and the recount linear in
-/// it.
+/// explodes combinatorially — the classic SON degenerate regime. Keep
+/// batches large enough that min_esup * batch_size stays comfortably
+/// above 1 (a few occurrences); the pool then stays small and the
+/// recount linear in it.
 class DeltaMiner {
  public:
   /// Wraps `inner` (an expected-support miner; typically registry-made).

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <string>
 
+#include "core/types.h"
+
 namespace ufim {
 
 Status ExpectedSupportParams::Validate() const {
@@ -66,6 +68,12 @@ std::string_view TaskKindName(const MiningTask& task) {
 
 Result<MiningResult> Miner::Mine(const UncertainDatabase& db,
                                  const MiningTask& task) const {
+  // num_items() is one past the largest id, so this is O(1).
+  if (db.num_items() > std::size_t{kMaxItemId} + 1) {
+    return Status::InvalidArgument(
+        "item id " + std::to_string(db.num_items() - 1) +
+        " above the largest loadable id " + std::to_string(kMaxItemId));
+  }
   return Mine(FlatView(db), task);
 }
 

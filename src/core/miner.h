@@ -140,6 +140,8 @@ class Miner {
 
   /// The one convenience overload: builds the FlatView internally.
   /// Prefer the view overload when mining the same database repeatedly.
+  /// InvalidArgument when the database holds an id above `kMaxItemId`,
+  /// whose per-item view arrays could not be allocated.
   Result<MiningResult> Mine(const UncertainDatabase& db,
                             const MiningTask& task) const;
 
@@ -147,19 +149,17 @@ class Miner {
   /// miner polls at its checkpoint sites. `MinerRegistry::Create` forwards
   /// `MinerOptions::run_context` automatically; direct constructions keep
   /// a live but unconstrained default. Copies share state, so callers keep
-  /// their own handle to `Cancel()` a running mine. Virtual so wrapper
-  /// miners (ShardedMiner; DeltaMiner wraps without inheriting) can
-  /// propagate the token to their inner miner — overrides must claim the
-  /// inner miner's config phase (`inner->AssertConfigPhase()`) before
-  /// forwarding, which is how the thread-safety analysis checks the
-  /// propagation chain end to end.
+  /// their own handle to `Cancel()` a running mine. `DeltaMiner`, which
+  /// wraps a miner without inheriting, forwards its token here after
+  /// claiming the inner miner's config phase (`inner->AssertConfigPhase()`),
+  /// which is how the thread-safety analysis checks the propagation chain
+  /// end to end.
   ///
   /// Config-phase only (annotated): `Mine` reads `run_context_` without a
   /// lock, so swapping the token while a mine is running on another
   /// thread would race. Call sites claim the no-mine-in-flight window via
   /// `AssertConfigPhase()`.
-  virtual void set_run_context(RunContext context)
-      UFIM_REQUIRES(config_role_) {
+  void set_run_context(RunContext context) UFIM_REQUIRES(config_role_) {
     run_context_ = std::move(context);
   }
   const RunContext& run_context() const { return run_context_; }

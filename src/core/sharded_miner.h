@@ -1,136 +1,2 @@
-#ifndef UFIM_CORE_SHARDED_MINER_H_
-#define UFIM_CORE_SHARDED_MINER_H_
-
-#include <cstddef>
-#include <memory>
-#include <span>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "common/math_util.h"
-#include "common/thread_annotations.h"
-#include "core/miner.h"
-
-namespace ufim {
-
-/// One size->=2 candidate's running recount: its expected-support Kahan
-/// state and plain Σp² over the first `counted_upto` transactions of the
-/// view it was counted on, and the join driver (`FlatView::JoinDriver`
-/// member index) that produced them. A default state has counted
-/// nothing. The recount continues it over the view's newer transactions
-/// only; its whole state is these fields, so carrying it forward by
-/// value gives exactly the bits of a recount from scratch.
-struct RecountState {
-  KahanSum esup;
-  double sq_sum = 0.0;
-  std::size_t counted_upto = 0;
-  std::size_t driver = 0;
-};
-
-/// Phase 2 of the SON (partition) drivers: exact recount of a candidate
-/// union over the full view. `singles` and `larger` are canonically
-/// sorted, deduplicated candidate itemsets of size 1 / >= 2. Singletons
-/// come straight off the view's cached moments; larger sets are posting
-/// joins partitioned by candidate, so the ascending-tid Kahan
-/// accumulation is the sequential one regardless of thread count.
-/// Appends itemsets with expected support >= `threshold` (absolute) to
-/// `result` with their exact full-view moments, and bumps its counters
-/// (one database scan, one generated candidate each). Shared by
-/// `ShardedMiner` (static shards) and `DeltaMiner` (streaming suffix
-/// shards) so the two merge paths can never diverge. `context` (optional)
-/// is polled once per size->=2 candidate join; a tripped token unwinds
-/// with RunAbortedError, which the calling miner's guarded facade
-/// converts to a Status.
-///
-/// `states`, when non-empty, holds one running state per `larger`
-/// candidate (parallel to it), each counted over a prefix of this same
-/// growing stream (`counted_upto` <= the view's size). A candidate then
-/// joins only the view's transactions past `counted_upto`, driven from
-/// the full view's current driver, and its state is advanced in place to
-/// cover the whole view. If that driver differs from the state's and the
-/// candidate has three or more items, the product order has changed, so
-/// the state restarts from zero (a pair's single multiplication commutes
-/// and never restarts). The moments equal an empty-`states` recount's
-/// bit for bit. On a throw the states may be partly advanced; callers
-/// pass a copy and keep it only on success.
-void RecountExpectedCandidates(const FlatView& view,
-                               const std::vector<Itemset>& singles,
-                               const std::vector<Itemset>& larger,
-                               double threshold, std::size_t num_threads,
-                               MiningResult& result,
-                               const RunContext* context = nullptr,
-                               std::span<RecountState> states = {});
-
-/// Shard-partitioned execution driver: runs any expected-support miner
-/// per contiguous transaction shard and merges to the *exact* global
-/// answer — the classic SON (partition) scheme, carried by FlatView's
-/// O(1) `Slice` views instead of data copies.
-///
-/// Phase 1 mines every shard independently (in parallel, up to
-/// `num_threads` shards in flight) with the same min_esup *ratio*; the
-/// shard thresholds ratio * |shard| sum to the global threshold, so by
-/// pigeonhole every globally frequent itemset is locally frequent in at
-/// least one shard — the union of shard results is a complete candidate
-/// superset. Phase 2 recounts that union over the full view (cached
-/// item moments for singletons, the parallel counting kernels for
-/// larger sets) and keeps exactly the itemsets meeting the global
-/// threshold, with their exact full-database moments: no approximation
-/// enters at any point, whatever the shard count.
-///
-/// Determinism: shard boundaries depend only on (view size, num_shards),
-/// the candidate union is canonically sorted before recounting, and the
-/// recount is partitioned by candidate — so for a fixed shard count the
-/// result is bit-identical across thread counts and across runs. Against
-/// the unsharded run of the same miner, the recount's ascending-tid
-/// posting joins can differ in the final ulp from an accumulation in
-/// another order (the pattern-growth miners sum over tree paths); the
-/// reported itemset set matches unless an expected support sits exactly
-/// on the threshold at that last ulp.
-///
-/// Only expected-support tasks are supported: expected support is
-/// additive across shards, which is what makes the local-threshold
-/// union argument sound. Probabilistic frequentness is not additive —
-/// a probabilistic task is rejected as InvalidArgument rather than
-/// answered approximately.
-class ShardedMiner final : public Miner {
- public:
-  /// Wraps `inner` (an expected-support miner; typically registry-made).
-  /// `num_shards` contiguous transaction shards (clamped to the view
-  /// size; <= 1 degenerates to a plain delegated run). `num_threads` as
-  /// in MinerOptions: concurrency for shard mining and the recount, 0
-  /// meaning all hardware threads.
-  ShardedMiner(std::unique_ptr<Miner> inner, std::size_t num_shards,
-               std::size_t num_threads = 1);
-
-  /// "Sharded(<inner name>)".
-  std::string_view name() const override { return name_; }
-
-  bool Supports(const MiningTask& task) const override;
-
-  /// The merge is exact, so exactness is the inner miner's.
-  bool is_exact() const override { return inner_->is_exact(); }
-
-  Result<MiningResult> Mine(const FlatView& view,
-                            const MiningTask& task) const override;
-  using Miner::Mine;
-
-  /// Propagates the token to the inner miner, so cancellation observed at
-  /// the driver's phase boundaries also stops the per-shard mining.
-  /// Config-phase only, like the base: the override claims the inner
-  /// miner's config role before forwarding (see miner.h).
-  void set_run_context(RunContext context) override
-      UFIM_REQUIRES(config_role_);
-
-  std::size_t num_shards() const { return num_shards_; }
-
- private:
-  std::unique_ptr<Miner> inner_;
-  std::string name_;
-  std::size_t num_shards_;
-  std::size_t num_threads_;
-};
-
-}  // namespace ufim
-
-#endif  // UFIM_CORE_SHARDED_MINER_H_
+// Forwarding header: RecountState and RecountExpectedCandidates live in core/delta_miner.h.
+#include "core/delta_miner.h"

@@ -9,10 +9,12 @@ namespace ufim {
 /// to a contiguous range [0, num_items).
 using ItemId = std::uint32_t;
 
-/// Largest item id `ReadDataset` accepts. A view sizes its per-item arrays
+/// Largest item id a view accepts. A view sizes its per-item arrays
 /// (about 56 bytes an item) by the largest id, so one sparse id such as
-/// 4000000000 would ask for hundreds of gigabytes; the loader rejects ids
-/// above this bound with InvalidArgument instead. 2^24 ids (about 0.9 GB
+/// 4000000000 would ask for hundreds of gigabytes. `ReadDataset`,
+/// `UncertainDatabase::Validate`, `Miner::Mine(const UncertainDatabase&)`
+/// and `DeltaMiner::MineNext` reject ids above this bound with
+/// InvalidArgument instead. 2^24 ids (about 0.9 GB
 /// of per-item view arrays at the bound) cover every FIMI benchmark
 /// dataset, the largest of which (webdocs) has 5.3 million items.
 inline constexpr ItemId kMaxItemId = (ItemId{1} << 24) - 1;

@@ -1,8 +1,10 @@
 #include "core/uncertain_database.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/math_util.h"
+#include "core/types.h"
 
 namespace ufim {
 
@@ -90,6 +92,12 @@ Status UncertainDatabase::Validate() const {
     const Transaction& t = transactions_[ti];
     for (std::size_t i = 0; i < t.size(); ++i) {
       const ProbItem& u = t[i];
+      if (u.item > kMaxItemId) {
+        return Status::InvalidArgument(
+            "transaction " + std::to_string(ti) + ": item id " +
+            std::to_string(u.item) + " above the largest loadable id " +
+            std::to_string(kMaxItemId));
+      }
       // Negated in-range test so that NaN (every comparison false) fails.
       if (!(u.prob > 0.0 && u.prob <= 1.0)) {
         return Status::InvalidArgument(

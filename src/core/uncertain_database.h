@@ -91,8 +91,8 @@ class UncertainDatabase {
   /// the scalability experiments). Clamps n to size().
   UncertainDatabase Prefix(std::size_t n) const;
 
-  /// Validates invariants: probabilities in (0, 1], units sorted, no
-  /// duplicate items in one transaction.
+  /// Validates invariants: probabilities in (0, 1], item ids at most
+  /// `kMaxItemId`, units sorted, no duplicate items in one transaction.
   Status Validate() const;
 
  private:

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/miner_registry.h"
-#include "core/sharded_miner.h"
 #include "eval/memory_tracker.h"
 #include "eval/stopwatch.h"
 
@@ -46,21 +45,12 @@ Result<ExperimentMeasurement> RunExperiment(const Miner& miner,
 
 Result<ExperimentMeasurement> RunRegisteredExperiment(
     std::string_view algorithm, const FlatView& view, const MiningTask& task,
-    const MinerOptions& options, std::size_t num_shards) {
+    const MinerOptions& options) {
   std::unique_ptr<Miner> miner =
       MinerRegistry::Global().Create(algorithm, options);
   if (miner == nullptr) {
     return Status::NotFound("algorithm '" + std::string(algorithm) +
                             "' is not registered");
-  }
-  if (num_shards > 1) {
-    miner = std::make_unique<ShardedMiner>(std::move(miner), num_shards,
-                                           options.num_threads);
-    // The registry attached the token to the inner miner; the sharded
-    // driver polls it at its own phase boundaries too. The wrapper is
-    // freshly constructed, so this thread owns its config phase.
-    miner->AssertConfigPhase();
-    miner->set_run_context(options.run_context);
   }
   return RunExperiment(*miner, view, task);
 }

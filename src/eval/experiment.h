@@ -36,13 +36,12 @@ Result<ExperimentMeasurement> RunExperiment(const Miner& miner,
 
 /// Registry-driven variant: instantiates `algorithm` with `options`
 /// (the experiment-runner config — num_threads and the per-algorithm
-/// knobs) and optionally wraps it in a ShardedMiner (`num_shards > 1`)
-/// before running. NotFound for unregistered names. This is the single
-/// entry point the CLI and sweep drivers use, so every experiment
+/// knobs) and runs it. NotFound for unregistered names. This is the
+/// single entry point the CLI and sweep drivers use, so every experiment
 /// accepts the same execution configuration.
 Result<ExperimentMeasurement> RunRegisteredExperiment(
     std::string_view algorithm, const FlatView& view, const MiningTask& task,
-    const MinerOptions& options = {}, std::size_t num_shards = 1);
+    const MinerOptions& options = {});
 
 }  // namespace ufim
 

@@ -1,6 +1,6 @@
 // Regression tests for the two CLI parsing bug classes the strict parser
 // closes: full-token numeric validation (--threads abc silently became 0
-// via atoll; --shards -1 wrapped to ~1.8e19) and unknown-flag rejection
+// via atoll; --batch -1 wrapped to ~1.8e19) and unknown-flag rejection
 // (--thread 4 used to absorb both tokens and mine with the default).
 #include "common/cli_args.h"
 
@@ -49,7 +49,7 @@ TEST(CliArgsTest, GetSizeParsesAndFallsBack) {
   std::string error;
   EXPECT_TRUE(args.GetSize("threads", 1, &value, &error));
   EXPECT_EQ(value, 8u);
-  EXPECT_TRUE(args.GetSize("shards", 7, &value, &error));
+  EXPECT_TRUE(args.GetSize("batch", 7, &value, &error));
   EXPECT_EQ(value, 7u);  // absent -> fallback
 }
 
@@ -64,11 +64,11 @@ TEST(CliArgsTest, GetSizeRejectsGarbage) {
 }
 
 TEST(CliArgsTest, GetSizeRejectsNegative) {
-  // The old static_cast<size_t>(atoll("-1")) wrapped to ~1.8e19 shards.
-  Args args = ParseOk({"--shards", "-1"});
+  // The old static_cast<size_t>(atoll("-1")) wrapped to ~1.8e19.
+  Args args = ParseOk({"--batch", "-1"});
   std::size_t value = 0;
   std::string error;
-  EXPECT_FALSE(args.GetSize("shards", 1, &value, &error));
+  EXPECT_FALSE(args.GetSize("batch", 1, &value, &error));
   EXPECT_NE(error.find("-1"), std::string::npos);
 }
 

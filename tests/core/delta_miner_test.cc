@@ -1,9 +1,11 @@
 // DeltaMiner unit coverage: SON-over-suffix-shards exactness against the
-// plain miners, candidate-pool retention across batches (the property a
-// results-only union would break), the incremental recount's join-driver
-// restart, facade/registry plumbing, and the empty-batch / empty-stream
-// degenerate calls. The randomized cross-layout schedules live in the
-// streaming differential harness.
+// plain miners at several batch counts and thresholds (and the paper's
+// Example 1 at every batch count), candidate-pool retention across
+// batches (the property a results-only union would break), the
+// incremental recount's join-driver restart, facade/registry plumbing,
+// input rejection, and the empty-batch / empty-stream degenerate calls.
+// The randomized cross-layout schedules live in the streaming
+// differential harness.
 #include "core/delta_miner.h"
 
 #include <gtest/gtest.h>
@@ -19,17 +21,55 @@
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
 #include "core/mining_result.h"
-#include "core/sharded_miner.h"
+#include "gen/benchmark_datasets.h"
 #include "testing/random_db.h"
 
 namespace ufim {
 namespace {
 
+using testing_util::MakeRandomDatabase;
 using testing_util::MakeStreamBatch;
+using testing_util::SplitIntoBatches;
 using testing_util::StreamBatchSpec;
 
 Transaction Txn(std::vector<ProbItem> units) {
   return Transaction(std::move(units));
+}
+
+/// Feeds `batches` to a DeltaMiner around `algorithm` and, after every
+/// batch, checks the answer against the plain miner run on the
+/// accumulated prefix: same itemsets, esup and variance within 1e-9.
+void ExpectStreamMatchesPlainMiner(
+    const std::string& algorithm,
+    const std::vector<std::vector<Transaction>>& batches,
+    const ExpectedSupportParams& params, const std::string& what) {
+  Result<std::unique_ptr<DeltaMiner>> delta = MakeDeltaMiner(algorithm, params);
+  ASSERT_TRUE(delta.ok()) << what;
+  EXPECT_EQ(delta.value()->name(), "Delta(" + algorithm + ")");
+  std::unique_ptr<Miner> plain = MinerRegistry::Global().Create(algorithm);
+  ASSERT_NE(plain, nullptr) << what;
+
+  UncertainDatabase accumulated;
+  for (const std::vector<Transaction>& batch : batches) {
+    Result<MiningResult> incremental = delta.value()->MineNext(batch);
+    ASSERT_TRUE(incremental.ok()) << what;
+    accumulated.Append(batch);
+    Result<MiningResult> reference =
+        plain->Mine(accumulated, MiningTask(params));
+    ASSERT_TRUE(reference.ok()) << what;
+    MiningResult expect = std::move(reference).value();
+    expect.SortCanonical();
+    ASSERT_EQ(incremental.value().size(), expect.size()) << what;
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(incremental.value()[i].itemset, expect[i].itemset) << what;
+      EXPECT_NEAR(incremental.value()[i].expected_support,
+                  expect[i].expected_support, 1e-9)
+          << what << " " << expect[i].itemset.ToString();
+      EXPECT_NEAR(incremental.value()[i].variance, expect[i].variance, 1e-9)
+          << what << " " << expect[i].itemset.ToString();
+    }
+  }
+  EXPECT_EQ(delta.value()->shards_mined(), batches.size()) << what;
 }
 
 TEST(DeltaMinerTest, MatchesPlainMinerForEveryExpectedSupportAlgorithm) {
@@ -43,33 +83,52 @@ TEST(DeltaMinerTest, MatchesPlainMinerForEveryExpectedSupportAlgorithm) {
 
   for (const std::string& algorithm :
        MinerRegistry::Global().NamesOf(TaskFamily::kExpectedSupport)) {
-    Result<std::unique_ptr<DeltaMiner>> delta =
-        MakeDeltaMiner(algorithm, params);
-    ASSERT_TRUE(delta.ok()) << algorithm;
-    EXPECT_EQ(delta.value()->name(), "Delta(" + algorithm + ")");
-    std::unique_ptr<Miner> plain = MinerRegistry::Global().Create(algorithm);
-    ASSERT_NE(plain, nullptr) << algorithm;
+    ExpectStreamMatchesPlainMiner(algorithm, batches, params, algorithm);
+  }
+}
 
-    UncertainDatabase accumulated;
-    for (const std::vector<Transaction>& batch : batches) {
-      Result<MiningResult> incremental = delta.value()->MineNext(batch);
-      ASSERT_TRUE(incremental.ok()) << algorithm;
-      accumulated.Append(batch);
-      Result<MiningResult> reference =
-          plain->Mine(accumulated, MiningTask(params));
-      ASSERT_TRUE(reference.ok()) << algorithm;
-      MiningResult expect = std::move(reference).value();
-      expect.SortCanonical();
-      ASSERT_EQ(incremental.value().size(), expect.size()) << algorithm;
-      for (std::size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(incremental.value()[i].itemset, expect[i].itemset)
-            << algorithm;
-        EXPECT_NEAR(incremental.value()[i].expected_support,
-                    expect[i].expected_support, 1e-9)
-            << algorithm << " " << expect[i].itemset.ToString();
+// The SON grid, under the suite name it had when an in-process sharded
+// miner drove it: one database in 2, 5 and 13 arrival-order shards at a
+// low, a middle and a high threshold, for every expected-support miner.
+// At 13 batches of about 6 transactions the low threshold is under one
+// expected occurrence per batch (0.05 * 6 = 0.3), the degenerate SON
+// regime with the largest pool.
+TEST(ShardedMinerTest, MatchesUnshardedForEveryExpectedMiner) {
+  const UncertainDatabase db = MakeRandomDatabase(
+      {.seed = 41, .num_transactions = 80, .num_items = 10});
+  for (const std::string& algorithm :
+       MinerRegistry::Global().NamesOf(TaskFamily::kExpectedSupport)) {
+    for (const double min_esup : {0.05, 0.15, 0.4}) {
+      ExpectedSupportParams params;
+      params.min_esup = min_esup;
+      for (const std::size_t k : {2u, 5u, 13u}) {
+        ExpectStreamMatchesPlainMiner(
+            algorithm, SplitIntoBatches(db, k), params,
+            algorithm + ", seed-41 80x10 in " + std::to_string(k) +
+                " batches at min_esup " + std::to_string(min_esup));
       }
     }
-    EXPECT_EQ(delta.value()->shards_mined(), batches.size()) << algorithm;
+  }
+}
+
+TEST(DeltaMinerTest, PaperExampleAnyBatchCount) {
+  // Table 1 fed in 1, 2, 3 and 4 batches must end at Example 1's answer.
+  ExpectedSupportParams params;
+  params.min_esup = 0.5;
+  const UncertainDatabase table1 = MakePaperTable1();
+  for (const std::size_t k : {1u, 2u, 3u, 4u}) {
+    Result<std::unique_ptr<DeltaMiner>> delta =
+        MakeDeltaMiner("UApriori", params);
+    ASSERT_TRUE(delta.ok());
+    Result<MiningResult> result = Status::Internal("no batch mined");
+    for (const std::vector<Transaction>& batch : SplitIntoBatches(table1, k)) {
+      result = delta.value()->MineNext(batch);
+      ASSERT_TRUE(result.ok()) << k << " batches";
+    }
+    ASSERT_EQ(result->size(), 2u) << k << " batches";
+    EXPECT_EQ((*result)[0].itemset, Itemset{kItemA});
+    EXPECT_EQ((*result)[1].itemset, Itemset{kItemC});
+    EXPECT_NEAR((*result)[0].expected_support, 2.1, 1e-12);
   }
 }
 
@@ -304,6 +363,46 @@ TEST(DeltaMinerTest, RegistryPlumbingRejectsBadInners) {
       MakeDeltaMiner("DCB", params);
   ASSERT_FALSE(probabilistic.ok());
   EXPECT_EQ(probabilistic.status().code(), StatusCode::kInvalidArgument);
+
+  // Built around a probabilistic miner directly, the stream rejects the
+  // first batch instead of answering it approximately.
+  params.min_esup = 0.3;
+  DeltaMiner direct(MinerRegistry::Global().Create("DCB"), params);
+  const std::vector<Transaction> batch = {Txn({{0, 0.9}}), Txn({{0, 0.8}})};
+  Result<MiningResult> rejected = direct.MineNext(batch);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(direct.view().num_transactions(), 0u);
+}
+
+TEST(DeltaMinerTest, RejectsIdsAboveTheViewBoundBeforeAppending) {
+  // The streaming view would size its per-item arrays by the id
+  // 4000000000; the batch is refused before it is appended, and the
+  // stream carries on.
+  ExpectedSupportParams params;
+  params.min_esup = 0.3;
+  Result<std::unique_ptr<DeltaMiner>> delta =
+      MakeDeltaMiner("UApriori", params);
+  ASSERT_TRUE(delta.ok());
+  const std::vector<Transaction> b1 = {Txn({{0, 0.9}}), Txn({{0, 0.8}})};
+  Result<MiningResult> first = delta.value()->MineNext(b1);
+  ASSERT_TRUE(first.ok());
+  const std::uint64_t generation = delta.value()->view().generation();
+
+  const std::vector<Transaction> sparse = {
+      Txn({{0, 0.7}}), Txn({{4000000000u, 0.5}, {1, 0.5}})};
+  Result<MiningResult> rejected = delta.value()->MineNext(sparse);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("4000000000"), std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_EQ(delta.value()->view().num_transactions(), b1.size());
+  EXPECT_EQ(delta.value()->view().generation(), generation);
+  EXPECT_EQ(delta.value()->shards_mined(), 1u);
+
+  Result<MiningResult> recount = delta.value()->MineNext({});
+  ASSERT_TRUE(recount.ok());
+  EXPECT_EQ(recount.value().ToString(), first.value().ToString());
 }
 
 /// Inner miner that fails calls [fail_from, fail_from + failures)

@@ -200,6 +200,23 @@ TEST(MinerRegistryTest, UnifiedFacadeDispatchesOnTask) {
   EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(MinerRegistryTest, DatabaseOverloadRejectsIdsAboveTheViewBound) {
+  // A view would size its per-item arrays by the id 4000000000 and abort
+  // with std::bad_alloc; the database overload rejects it first.
+  UncertainDatabase db;
+  db.Add(Transaction({{4000000000u, 0.5}, {1, 0.5}}));
+  ASSERT_EQ(db.num_items(), std::size_t{4000000001});
+  std::unique_ptr<Miner> miner = MinerRegistry::Global().Create("UApriori");
+  ASSERT_NE(miner, nullptr);
+  ExpectedSupportParams params;
+  params.min_esup = 0.3;
+  auto rejected = miner->Mine(db, MiningTask(params));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("4000000000"), std::string::npos)
+      << rejected.status().ToString();
+}
+
 TEST(MinerRegistryTest, EveryMinerRunsThroughUnifiedFacadeOverFlatView) {
   UncertainDatabase db = MakePaperTable1();
   FlatView view(db);

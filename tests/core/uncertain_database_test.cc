@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "gen/benchmark_datasets.h"
 
@@ -108,6 +109,22 @@ TEST(UncertainDatabaseTest, PrefixTakesFirstN) {
 
 TEST(UncertainDatabaseTest, ValidateAcceptsWellFormed) {
   EXPECT_TRUE(MakePaperTable1().Validate().ok());
+}
+
+TEST(UncertainDatabaseTest, ValidateRejectsIdsAboveTheViewBound) {
+  UncertainDatabase db = MakePaperTable1();
+  db.Add(Transaction({{1, 0.5}, {4000000000u, 0.5}}));
+  Status status = db.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("transaction 4"), std::string::npos)
+      << status.ToString();
+
+  UncertainDatabase at_bound;
+  at_bound.Add(Transaction({{1, 0.5}, {kMaxItemId, 0.5}}));
+  EXPECT_TRUE(at_bound.Validate().ok());
+  at_bound.Add(Transaction({{kMaxItemId + 1, 0.5}}));
+  EXPECT_EQ(at_bound.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(UncertainDatabaseTest, ValidateRejectsNaNProbability) {

@@ -19,7 +19,6 @@
 #include "core/delta_miner.h"
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
-#include "core/sharded_miner.h"
 #include "testing/fault_injection.h"
 #include "testing/random_db.h"
 
@@ -32,6 +31,7 @@ using testing_util::FaultSchedule;
 using testing_util::MakeRandomDatabase;
 using testing_util::MakeStreamBatch;
 using testing_util::ScheduleSeed;
+using testing_util::SplitIntoBatches;
 using testing_util::StreamBatchSpec;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
@@ -179,102 +179,115 @@ TEST(FaultInjectionTest, PatternGrowthSplitTasksSurviveCancellation) {
       << "UH-Mine split no dominant subtree at 8 threads";
 }
 
-// ShardedMiner is not registry-listed (it wraps another miner), so the
-// SON driver's phase boundaries get their own sweep: cancellation must
-// land cleanly whether it strikes during the parallel per-shard mining
-// or during the full-view recount.
-TEST(FaultInjectionTest, ShardedMinerSurvivesCancellationAcrossPhases) {
-  const UncertainDatabase db = MakeRandomDatabase({.seed = 83,
-                                                   .num_transactions = 96,
-                                                   .num_items = 10,
-                                                   .item_presence = 0.5});
-  FlatView view(db);
-  ExpectedSupportParams params;
-  params.min_esup = 0.12;
-  for (const std::size_t threads : kThreadCounts) {
-    MinerOptions options;
-    options.num_threads = threads;
-    const RunContext ctx = options.run_context;
-    ShardedMiner miner(MinerRegistry::Global().Create("UApriori", options), 4,
-                       threads);
-    miner.AssertConfigPhase();  // freshly constructed, no mine in flight
-    miner.set_run_context(ctx);
-    CheckSurvivesCancellation(miner, ctx, view, MiningTask(params),
-                              "Sharded(UApriori)@" + std::to_string(threads));
-  }
-}
-
 // DeltaMiner's cancellation contract is transactional, not just clean:
 // a batch whose mine is cancelled pre-commit must roll back to the
 // pre-append watermark, a post-commit (recount-phase) cancellation must
 // leave the committed stream consistent, and in both cases the caller
 // recovers with a Reset and one retry — resending the batch if it rolled
 // back, an empty batch if it committed. The watermark tells the two
-// apart, exactly as a resuming client would.
-TEST(FaultInjectionTest, DeltaMinerRollsBackOrCommitsButAlwaysRecovers) {
-  ExpectedSupportParams params;
-  params.min_esup = 0.2;
-  StreamBatchSpec spec;
-  spec.num_items = 8;
-  Rng rng(84);
-  const std::vector<Transaction> b1 = MakeStreamBatch(rng, spec, 12);
-  const std::vector<Transaction> b2 = MakeStreamBatch(rng, spec, 10);
+// apart, exactly as a resuming client would. `batches` are mined in
+// order at `threads` threads, the last one under cancellation, and the
+// recovered answer must match a never-cancelled 1-thread stream bit for
+// bit.
+void CheckDeltaRollsBackOrCommits(
+    const ExpectedSupportParams& params,
+    const std::vector<std::vector<Transaction>>& batches, std::size_t threads,
+    const std::string& label) {
+  ASSERT_GE(batches.size(), 2u) << label;
+  const std::vector<Transaction>& last = batches.back();
+  const auto mine_prefix = [&](DeltaMiner& delta) {
+    for (std::size_t b = 0; b + 1 < batches.size(); ++b) {
+      ASSERT_TRUE(delta.MineNext(batches[b]).ok()) << label << " batch " << b;
+    }
+  };
 
   // Reference: the same stream, never cancelled.
   Result<std::unique_ptr<DeltaMiner>> clean = MakeDeltaMiner("UApriori",
                                                              params);
   ASSERT_TRUE(clean.ok());
-  ASSERT_TRUE(clean.value()->MineNext(b1).ok());
-  Result<MiningResult> reference = clean.value()->MineNext(b2);
-  ASSERT_TRUE(reference.ok());
+  mine_prefix(*clean.value());
+  Result<MiningResult> reference = clean.value()->MineNext(last);
+  ASSERT_TRUE(reference.ok()) << label;
 
-  // Learn the checkpoint total of MineNext(b2) on a twin stream (MineNext
-  // mutates state, so the counting run needs its own instance).
+  // Learn the checkpoint total of the last MineNext on a twin stream
+  // (MineNext mutates state, so the counting run needs its own instance).
   MinerOptions count_options;
+  count_options.num_threads = threads;
   const RunContext count_ctx = count_options.run_context;
   Result<std::unique_ptr<DeltaMiner>> counting =
       MakeDeltaMiner("UApriori", params, count_options);
-  ASSERT_TRUE(counting.ok());
-  ASSERT_TRUE(counting.value()->MineNext(b1).ok());
+  ASSERT_TRUE(counting.ok()) << label;
+  mine_prefix(*counting.value());
   const std::uint64_t total = CountCheckpoints(count_ctx, [&] {
-    ASSERT_TRUE(counting.value()->MineNext(b2).ok());
+    ASSERT_TRUE(counting.value()->MineNext(last).ok()) << label;
   });
-  ASSERT_GE(total, 2u) << "expected checkpoints on both sides of the commit";
+  ASSERT_GE(total, 2u) << label
+                       << ": expected checkpoints on both sides of the commit";
 
   for (const std::uint64_t nth :
-       FaultSchedule(ScheduleSeed("delta-rollback"), total, kFaultsPerCase)) {
-    const std::string at =
-        "delta @checkpoint " + std::to_string(nth) + "/" + std::to_string(total);
+       FaultSchedule(ScheduleSeed(label), total, kFaultsPerCase)) {
+    const std::string at = label + " @checkpoint " + std::to_string(nth) +
+                           "/" + std::to_string(total);
     MinerOptions options;
+    options.num_threads = threads;
     const RunContext ctx = options.run_context;
     Result<std::unique_ptr<DeltaMiner>> delta =
         MakeDeltaMiner("UApriori", params, options);
     ASSERT_TRUE(delta.ok());
-    ASSERT_TRUE(delta.value()->MineNext(b1).ok()) << at;
+    mine_prefix(*delta.value());
     const std::size_t txns_before = delta.value()->view().num_transactions();
 
     ctx.AssertQuiescent();  // no mine in flight between the sequential runs
     ctx.ArmFaultAtCheckpoint(nth, StatusCode::kCancelled);
-    Result<MiningResult> faulted = delta.value()->MineNext(b2);
+    Result<MiningResult> faulted = delta.value()->MineNext(last);
     ASSERT_FALSE(faulted.ok()) << at;
     EXPECT_EQ(faulted.status().code(), StatusCode::kCancelled) << at;
 
     // Consistent either way: fully rolled back or fully committed,
     // never a torn batch.
     const std::size_t txns_now = delta.value()->view().num_transactions();
-    const bool committed = txns_now == txns_before + b2.size();
+    const bool committed = txns_now == txns_before + last.size();
     if (!committed) {
       EXPECT_EQ(txns_now, txns_before) << at;
     }
 
     ctx.Reset();
     Result<MiningResult> retried = committed ? delta.value()->MineNext({})
-                                             : delta.value()->MineNext(b2);
+                                             : delta.value()->MineNext(last);
     ASSERT_TRUE(retried.ok()) << at << ": " << retried.status().ToString();
     EXPECT_EQ(delta.value()->view().num_transactions(),
-              txns_before + b2.size())
+              txns_before + last.size())
         << at;
     ExpectIdentical(retried.value(), reference.value(), at);
+  }
+}
+
+TEST(FaultInjectionTest, DeltaMinerRollsBackOrCommitsButAlwaysRecovers) {
+  ExpectedSupportParams params;
+  params.min_esup = 0.2;
+  StreamBatchSpec spec;
+  spec.num_items = 8;
+  Rng rng(84);
+  std::vector<std::vector<Transaction>> batches;
+  batches.push_back(MakeStreamBatch(rng, spec, 12));
+  batches.push_back(MakeStreamBatch(rng, spec, 10));
+  CheckDeltaRollsBackOrCommits(params, batches, 1, "delta-rollback");
+}
+
+// The SON phase sweep, under the name it had when an in-process sharded
+// miner drove it: one database in 4 arrival-order shards, cancelled at
+// every thread count while the last shard is mined, so the fault lands
+// in the parallel suffix mine or the parallel full-view recount.
+TEST(FaultInjectionTest, ShardedMinerSurvivesCancellationAcrossPhases) {
+  const UncertainDatabase db = MakeRandomDatabase({.seed = 83,
+                                                   .num_transactions = 96,
+                                                   .num_items = 10,
+                                                   .item_presence = 0.5});
+  ExpectedSupportParams params;
+  params.min_esup = 0.12;
+  for (const std::size_t threads : kThreadCounts) {
+    CheckDeltaRollsBackOrCommits(params, SplitIntoBatches(db, 4), threads,
+                                 "son@" + std::to_string(threads));
   }
 }
 

@@ -40,6 +40,21 @@ inline UncertainDatabase MakeRandomDatabase(const RandomDbSpec& spec) {
   return UncertainDatabase(std::move(txns));
 }
 
+/// `db` cut into `k` near-equal contiguous batches, batch b holding
+/// transactions [b * n / k, (b + 1) * n / k): the arrival-order shards a
+/// SON stream is fed.
+inline std::vector<std::vector<Transaction>> SplitIntoBatches(
+    const UncertainDatabase& db, std::size_t k) {
+  const std::size_t n = db.size();
+  std::vector<std::vector<Transaction>> batches(k);
+  for (std::size_t b = 0; b < k; ++b) {
+    for (std::size_t t = b * n / k; t < (b + 1) * n / k; ++t) {
+      batches[b].push_back(db[t]);
+    }
+  }
+  return batches;
+}
+
 /// Parameters of a streaming transaction batch with a Kosarak-like
 /// long-tail item popularity: item ranks are drawn from a Zipf
 /// distribution, so a few head items appear in most transactions while

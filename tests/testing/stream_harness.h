@@ -14,7 +14,6 @@
 #include "core/delta_miner.h"
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
-#include "core/sharded_miner.h"
 #include "core/streaming_flat_view.h"
 #include "core/uncertain_database.h"
 #include "testing/random_db.h"

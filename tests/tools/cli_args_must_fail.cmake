@@ -47,6 +47,7 @@ endfunction()
 
 set(esup --algorithm UApriori --min-esup 0.01)
 must_fail(mine "${db}" ${esup} --threads abc)
+# --shards was removed; a leftover use must still fail, as an unknown flag.
 must_fail(mine "${db}" ${esup} --shards -1)
 must_fail(mine "${db}" ${esup} --thread 4)
 must_fail(mine "${db}" --algorithm UApriori --min-esup 0.5x)

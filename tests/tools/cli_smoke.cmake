@@ -1,7 +1,7 @@
 # Smoke run of the shipped binaries: the quickstart example (when built)
-# and the CLI's generate, stats and four mine runs (expected support,
-# probabilistic, top-k, and threaded SON shards) must each exit 0 and
-# print something.
+# and the CLI's generate, stats, three mine runs (expected support,
+# probabilistic, top-k) and a threaded mine-stream run must each exit 0
+# and print something.
 #
 #   cmake -DUFIM_CLI=<path to ufim_cli> -DWORK_DIR=<scratch dir> \
 #         [-DQUICKSTART=<path to example_quickstart>] -P cli_smoke.cmake
@@ -40,5 +40,5 @@ expect_output("${UFIM_CLI}" mine "${db}" --algorithm UApriori --min-esup 0.01
 expect_output("${UFIM_CLI}" mine "${db}" --algorithm DCB --min-sup 0.02
               --pft 0.9 --top 5)
 expect_output("${UFIM_CLI}" mine "${db}" --algorithm TopK --k 5)
-expect_output("${UFIM_CLI}" mine "${db}" --algorithm UApriori --min-esup 0.01
-              --threads 4 --shards 3 --top 5)
+expect_output("${UFIM_CLI}" mine-stream "${db}" --algorithm UApriori
+              --min-esup 0.01 --threads 4 --batch 100)

@@ -9,7 +9,7 @@
 //       --top 20 --rules 0.8
 //   ufim_cli mine data.udb --algorithm TopK --k 20
 //   ufim_cli mine data.udb --algorithm UApriori --min-esup 0.01
-//       --threads 8 --shards 4
+//       --threads 8
 //   ufim_cli mine-stream data.udb --algorithm UApriori --min-esup 0.01
 //       --batch 256 --compact-ratio 0.25
 //
@@ -46,7 +46,7 @@ int Usage() {
   ufim_cli stats <path>
   ufim_cli mine <path> --algorithm <name>
            (--min-esup <r> | --min-sup <r> [--pft <p>] | --k <n>)
-           [--threads <t>] [--shards <s>]
+           [--threads <t>]
            [--kernel {auto|scalar|gallop|simd}]
            [--prefilter {off|bounds}]
            [--deadline-ms <ms>] [--memory-budget-mb <mb>]
@@ -58,9 +58,7 @@ int Usage() {
 
   --threads: worker threads for the parallel mining paths
              (default: hardware concurrency; results are identical at
-             every setting). --shards: partition the database into <s>
-             transaction shards mined independently and merged exactly
-             (expected-support algorithms only).
+             every setting).
   --kernel:  force the posting-intersection kernel (default auto:
              galloping on skewed list lengths, SIMD when the CPU has
              it, scalar otherwise; results are identical under every
@@ -270,9 +268,8 @@ int Mine(const Args& args) {
   std::string err;
   if (!args.Validate(
           {.value_flags = {"algorithm", "min-esup", "min-sup", "pft", "k",
-                           "threads", "shards", "kernel",
-                           "prefilter", "deadline-ms", "memory-budget-mb",
-                           "top", "rules"},
+                           "threads", "kernel", "prefilter", "deadline-ms",
+                           "memory-budget-mb", "top", "rules"},
            .switches = {"closed", "maximal"}},
           &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
@@ -283,7 +280,7 @@ int Mine(const Args& args) {
   }
 
   // Validate every numeric flag before touching the dataset.
-  std::size_t num_threads = 0, num_shards = 1, k = 10;
+  std::size_t num_threads = 0, k = 10;
   std::size_t deadline_ms = 0, memory_budget_mb = 0;
   double min_esup = 0.5, min_sup = 0.5, pft = 0.9;
   ShowOptions show;
@@ -293,7 +290,6 @@ int Mine(const Args& args) {
     std::size_t top = 10;
     double rules_conf = 0.8;
     if (!OrFail(args.GetSize("threads", 0, &num_threads, &err), err) ||
-        !OrFail(args.GetSize("shards", 1, &num_shards, &err), err) ||
         !OrFail(args.GetSize("deadline-ms", 0, &deadline_ms, &err), err) ||
         !OrFail(args.GetSize("memory-budget-mb", 0, &memory_budget_mb, &err),
                 err) ||
@@ -352,8 +348,8 @@ int Mine(const Args& args) {
     task = params;
   }
 
-  // Execution configuration: every algorithm, threaded and optionally
-  // sharded, goes through the same registry-driven experiment path.
+  // Execution configuration: every algorithm, threaded or not, goes
+  // through the same registry-driven experiment path.
   if (!ApplyKernelFlag(args)) return Usage();
   MinerOptions options;
   options.num_threads = num_threads;  // 0 = all hardware threads
@@ -368,13 +364,9 @@ int Mine(const Args& args) {
       return Usage();
     }
   }
-  if (num_shards > 1 && entry->family != TaskFamily::kExpectedSupport) {
-    std::fprintf(stderr, "--shards applies to expected-support algorithms only\n");
-    return Usage();
-  }
   FlatView view(*db);
   options.run_context = MakeRunLimits(deadline_ms, memory_budget_mb);
-  auto m = RunRegisteredExperiment(algo_name, view, task, options, num_shards);
+  auto m = RunRegisteredExperiment(algo_name, view, task, options);
   if (!m.ok()) {
     std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
     return 1;
